@@ -66,24 +66,29 @@ _CUBE_FACES = [
 ]
 
 
+def _unit_direction(row, source: str) -> tuple[float, float, float]:
+    d = np.asarray(row, dtype=float)
+    norm = np.linalg.norm(d)
+    if d.shape != (3,) or not 0 < norm < math.inf:
+        raise click.BadParameter(f"direction {row!r} in {source!r} is not a nonzero finite 3-vector")
+    return tuple(d / norm)
+
+
 def _parse_directions(text: str) -> list[tuple[float, float, float]]:
     if text == "preset:cube-faces":
         return list(_CUBE_FACES)
     if text.startswith("single:"):
-        d = np.array([float(x) for x in text[len("single:") :].split(",")])
-        d = d / np.linalg.norm(d)
-        return [tuple(d)]
+        try:
+            row = [float(x) for x in text[len("single:") :].split(",")]
+        except ValueError as exc:
+            raise click.BadParameter(f"expected 'single:x,y,z', got {text!r}") from exc
+        return [_unit_direction(row, text)]
     path = Path(text)
     if not path.exists():
         raise click.BadParameter(f"directions file {text!r} does not exist")
     with open(path) as f:
         raw = json.load(f)
-    out = []
-    for row in raw:
-        d = np.asarray(row, dtype=float)
-        d = d / np.linalg.norm(d)
-        out.append(tuple(d))
-    return out
+    return [_unit_direction(row, text) for row in raw]
 
 
 def _parse_surface(text: str) -> geometry.SurfaceParam:
@@ -137,6 +142,9 @@ def synth(surface, medium, radius, freqs, noise, seed, directions, kpoints, wave
         med = modal.Medium(lam, mu, omega)
         n = n_trunc if n_trunc is not None else modal.default_truncation(med.kappa_s, radius) + 4
         opts = forward.SolverOptions(n_trunc=n, quad_order=n + 4, residual_tol=2e-2)
+        # every direction shares this frequency's boundary system and measurement basis
+        eval_matrix = derivative.measurement_basis(med, radius, n, points)
+        sol = None
         for jd, d in enumerate(dirs):
             if wave_kind == "p":
                 wave = forward.IncidentWave("p", d)
@@ -145,8 +153,11 @@ def synth(surface, medium, radius, freqs, noise, seed, directions, kpoints, wave
                 pol = np.cross(helper, d)
                 pol = pol / np.linalg.norm(pol)
                 wave = forward.IncidentWave("s", d, tuple(pol))
-            sol = forward.solve_rigid_scattering(sp, wave, med, radius, opts)
-            ms = forward.scattering_operator(sp, wave, med, radius, points, opts, solution=sol)
+            if sol is None:
+                sol = forward.solve_rigid_scattering(sp, wave, med, radius, opts)
+            else:
+                sol = sol.resolve_incident(wave)
+            ms = forward.scattering_operator(sp, wave, med, radius, points, opts, solution=sol, eval_matrix=eval_matrix)
             if noise > 0:
                 ms = forward.add_noise(ms, noise, seed + 1000 * iw + jd)
             path = out / f"data_w{iw}_d{jd}.json"

@@ -15,9 +15,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import IncidentWave, MeasurementSet, ScatteredSolution, SolverOptions, incident_field, solve_rigid_scattering
-from .geometry import SurfaceParam, coeff_length, perturbation_q_table
+from .forward import (
+    IncidentWave,
+    MeasurementSet,
+    ScatteredSolution,
+    SolverError,
+    SolverOptions,
+    incident_field,
+    scattering_operator,
+    solve_rigid_scattering,
+)
+from .geometry import GeometryError, SurfaceParam, coeff_length, perturbation_q_table
 from .modal import Medium
+from .specfun import DomainError
 from .wavefields import WaveBasis
 
 
@@ -25,15 +35,21 @@ class ObjectiveError(RuntimeError):
     """Objective evaluation failed (infeasible surface or solver failure)."""
 
 
-def normal_derivative_total_field(sol: ScatteredSolution, w: IncidentWave, med: Medium) -> np.ndarray:
+def normal_derivative_total_field(
+    sol: ScatteredSolution, w: IncidentWave, med: Medium, deriv_matrix: np.ndarray | None = None
+) -> np.ndarray:
     """(nu . grad) of the total field on the boundary sample of a solve.
 
     The gradient of the scattered part is analytic (differentiated basis
-    fields); the incident part is a plane wave.
+    fields); the incident part is a plane wave.  ``deriv_matrix`` is
+    ``sol.basis.deriv_along(sol.sample.normals)``, computed here unless
+    given; it is shared by every solution on the same boundary system.
     """
     sample = sol.sample
+    if deriv_matrix is None:
+        deriv_matrix = sol.basis.deriv_along(sample.normals)
     grad_inc = incident_field(w, med, sample.points)[1]
-    dv = (sol.basis.deriv_along(sample.normals) @ sol.coeff_vector).reshape(-1, 3)
+    dv = (deriv_matrix @ sol.coeff_vector).reshape(-1, 3)
     du_inc = np.einsum("pil,pl->pi", grad_inc, sample.normals)
     return du_inc + dv
 
@@ -69,10 +85,18 @@ def shape_jacobian(
     radius: float,
     points: np.ndarray,
     eval_matrix: np.ndarray | None = None,
+    deriv_matrix: np.ndarray | None = None,
+    q: np.ndarray | None = None,
 ) -> ShapeJacobian:
-    """All domain-derivative columns at the given measurement points."""
-    dnu = normal_derivative_total_field(sol, w, med)
-    q = perturbation_q_table(sp, sol.sample)  # (ncoeffs, npts)
+    """All domain-derivative columns at the given measurement points.
+
+    ``eval_matrix``, ``deriv_matrix`` and the perturbation table ``q``
+    depend only on the boundary system and the points, not on the incident
+    wave; they are computed here unless given.
+    """
+    dnu = normal_derivative_total_field(sol, w, med, deriv_matrix)
+    if q is None:
+        q = perturbation_q_table(sp, sol.sample)  # (ncoeffs, npts)
     rhs = -(q[:, :, None] * dnu[None, :, :]).transpose(1, 2, 0)  # (npts, 3, ncoeffs)
     coeffs = sol.solve_rhs(rhs)
     if eval_matrix is None:
@@ -112,32 +136,50 @@ def objective_and_gradient(
     in the bundle (frequencies and incident directions); the gradient sums
     Re[ u'_i(x_k) . conj(F_k - u(x_k)) ] the same way.
 
+    Measurement sets that agree on (lambda, mu, omega, R) share one
+    boundary system: it is factored once, and every further incident wave
+    is re-solved against that factorization.  ``eval_cache`` keeps the
+    measurement basis matrices across calls, keyed by medium, radius,
+    order and the measurement points.
+
     Raises :class:`ObjectiveError` when any forward solve fails, so the
     descent loop can reject the step.
     """
     f = 0.0
     grad = np.zeros(coeff_length(sp.order)) if with_gradient else None
+    if eval_cache is None:
+        eval_cache = {}
+    systems: dict[tuple, tuple] = {}  # (lambda, mu, omega, R) -> (first solution, deriv_matrix, q)
     for ds in datasets:
         med = ds.med
+        system = (med.lam, med.mu, med.omega, ds.radius)
         try:
-            sol = solve_rigid_scattering(sp, ds.incident, med, ds.radius, options)
-            model = incident_field(ds.incident, med, ds.points)[0] + sol.evaluate(ds.points)
-        except Exception as exc:  # solver/geometry failures make the step infeasible
+            if system in systems:
+                sol = systems[system][0].resolve_incident(ds.incident)
+            else:
+                sol = solve_rigid_scattering(sp, ds.incident, med, ds.radius, options)
+        except (SolverError, GeometryError, DomainError, np.linalg.LinAlgError) as exc:
             raise ObjectiveError(f"forward evaluation failed: {exc}") from exc
+        if system not in systems:
+            if with_gradient:
+                systems[system] = (sol, sol.basis.deriv_along(sol.sample.normals), perturbation_q_table(sp, sol.sample))
+            else:
+                systems[system] = (sol, None, None)
+        key = (med.lam, med.mu, med.omega, ds.radius, sol.order, ds.points.tobytes())
+        eval_matrix = eval_cache.get(key)
+        if eval_matrix is None:
+            eval_matrix = eval_cache[key] = measurement_basis(med, ds.radius, sol.order, ds.points)
+        model = scattering_operator(
+            sp, ds.incident, med, ds.radius, ds.points, solution=sol, eval_matrix=eval_matrix
+        ).u
         r = (model - ds.u).reshape(-1)
         f += 0.5 * float(np.real(np.vdot(r, r)))
         if not with_gradient:
             continue
-        key = None
-        eval_matrix = None
-        if eval_cache is not None:
-            key = (med.omega, ds.radius, sol.order, ds.points.shape[0])
-            eval_matrix = eval_cache.get(key)
-        if eval_matrix is None:
-            eval_matrix = measurement_basis(med, ds.radius, sol.order, ds.points)
-            if eval_cache is not None:
-                eval_cache[key] = eval_matrix
-        jac = shape_jacobian(sp, sol, ds.incident, med, ds.radius, ds.points, eval_matrix=eval_matrix)
+        _, deriv_matrix, q = systems[system]
+        jac = shape_jacobian(
+            sp, sol, ds.incident, med, ds.radius, ds.points, eval_matrix=eval_matrix, deriv_matrix=deriv_matrix, q=q
+        )
         grad += np.real(jac.matrix.conj().T @ r)
     if not np.isfinite(f):
         raise ObjectiveError("objective is not finite")

@@ -108,6 +108,36 @@ class SolverOptions:
         return replace(self, n_trunc=n, quad_order=q)
 
 
+@dataclass(frozen=True)
+class BoundaryFactorization:
+    """Truncated SVD of the equilibrated boundary least-squares matrix.
+
+    ``aw`` is the basis matrix with rows scaled by the square roots of the
+    quadrature weights ``row_w``; ``aw * colscale = u @ diag(s) @ vh`` with
+    singular values below the cutoff set to zero in ``s_trunc``.  The
+    matrix depends only on the surface sample, medium and truncation, so
+    one factorization serves every right-hand side on that system.
+    """
+
+    u: np.ndarray
+    s_trunc: np.ndarray
+    vh: np.ndarray
+    colscale: np.ndarray
+    row_w: np.ndarray
+    aw: np.ndarray
+    rank: int
+    condition: float
+
+    def coefficients(self, bw: np.ndarray) -> np.ndarray:
+        """Least-squares coefficients for weighted right-hand sides ``bw`` of
+        shape (rows,) or (rows, k); returns (ncols,) or (ncols, k)."""
+        y = self.u.conj().T @ bw
+        with np.errstate(divide="ignore"):
+            inv_s = np.where(self.s_trunc > 0, 1.0 / self.s_trunc, 0.0)
+        per_col = (-1,) + (1,) * (bw.ndim - 1)
+        return (self.vh.conj().T @ (inv_s.reshape(per_col) * y)) * self.colscale.reshape(per_col)
+
+
 @dataclass
 class ScatteredSolution:
     """Outgoing-wavefunction expansion of a scattered field.
@@ -126,7 +156,9 @@ class ScatteredSolution:
     sample: BoundarySample
     basis: WaveBasis
     coeff_vector: np.ndarray
-    _svd: tuple = None
+    med: Medium
+    options: SolverOptions
+    factorization: BoundaryFactorization
 
     def solve_rhs(self, data_values: np.ndarray) -> np.ndarray:
         """Coefficient vectors for extra right-hand sides on the same surface.
@@ -136,14 +168,25 @@ class ScatteredSolution:
         factorization (the system matrix depends only on geometry, medium
         and truncation, not on the data).
         """
-        u, s, vh, colscale, row_w = self._svd
-        single = data_values.ndim == 2
-        b = data_values.reshape(data_values.shape[0] * 3, -1) * row_w[:, None]
-        y = u.conj().T @ b
-        with np.errstate(divide="ignore"):
-            inv_s = np.where(s > 0, 1.0 / s, 0.0)
-        c = (vh.conj().T @ (inv_s[:, None] * y)) * colscale[:, None]
-        return c[:, 0] if single else c
+        fac = self.factorization
+        c = fac.coefficients(data_values.reshape(data_values.shape[0] * 3, -1) * fac.row_w[:, None])
+        return c[:, 0] if data_values.ndim == 2 else c
+
+    def resolve(self, dirichlet_data) -> "ScatteredSolution":
+        """Solution for other Dirichlet data on the same surface, medium and truncation.
+
+        ``dirichlet_data`` is an array aligned with the sample nodes (npts, 3)
+        or a callable mapping points to values.  The stored factorization is
+        reused; the new solution reports its own residual, and
+        :class:`SolverError` is raised when that residual exceeds the
+        options' ``residual_tol``.
+        """
+        data = _boundary_data(dirichlet_data, self.sample)
+        return _fit(self.factorization, data, self.sample, self.basis, self.med, self.options)
+
+    def resolve_incident(self, w: IncidentWave) -> "ScatteredSolution":
+        """Field scattered from another incident wave by the same rigid obstacle."""
+        return self.resolve(-incident_field(w, self.med, self.sample.points)[0])
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Scattered displacement at arbitrary exterior points."""
@@ -151,6 +194,53 @@ class ScatteredSolution:
             self.basis.kappa_p, self.basis.kappa_s, self.basis.ref_radius, self.order, points
         )
         return basis.evaluate(self.coeff_vector)
+
+
+def _boundary_data(dirichlet_data, sample: BoundarySample) -> np.ndarray:
+    """Dirichlet values at the sample nodes from an array or a callable, shape (npts, 3)."""
+    data = dirichlet_data(sample.points) if callable(dirichlet_data) else np.asarray(dirichlet_data)
+    if data.shape != (sample.npts, 3):
+        raise ValueError(f"dirichlet data shape {data.shape} != ({sample.npts}, 3)")
+    return data
+
+
+def _fit(
+    fac: BoundaryFactorization,
+    data: np.ndarray,
+    sample: BoundarySample,
+    basis: WaveBasis,
+    med: Medium,
+    opts: SolverOptions,
+) -> ScatteredSolution:
+    """Back-substitute boundary data through a factorization and check the residual."""
+    bw = data.reshape(-1) * fac.row_w
+    c = fac.coefficients(bw)
+
+    total_w = float(np.sum(sample.weights))
+    resid_norm = float(np.linalg.norm(fac.aw @ c - bw))
+    rms = resid_norm / math.sqrt(total_w)
+    bnorm = float(np.linalg.norm(bw))
+    rel = resid_norm / bnorm if bnorm > 0 else 0.0
+    if bnorm > 0 and rel > opts.residual_tol:
+        raise SolverError(
+            f"boundary residual {rel:.3e} (relative) exceeds tolerance {opts.residual_tol:.1e} "
+            f"at truncation order {opts.n_trunc}"
+        )
+
+    return ScatteredSolution(
+        potentials=PotentialCoeffs(opts.n_trunc, basis.potentials_from_vector(c)),
+        order=opts.n_trunc,
+        residual_rms=rms,
+        residual_rel=rel,
+        condition=fac.condition,
+        rank=fac.rank,
+        sample=sample,
+        basis=basis,
+        coeff_vector=c,
+        med=med,
+        options=opts,
+        factorization=fac,
+    )
 
 
 def solve_exterior_dirichlet(
@@ -166,20 +256,18 @@ def solve_exterior_dirichlet(
     ``dirichlet_data`` is either an array of boundary values aligned with
     the sample nodes (npts, 3) or a callable mapping points to values.  On
     a sphere centered at the origin the fit decouples into per-mode blocks
-    and is exact up to truncation.
+    and is exact up to truncation.  Further data on the same system is
+    solved with :meth:`ScatteredSolution.resolve`, which reuses the
+    factorization made here.
     """
     opts = options.resolve(med, radius)
     if sample is None:
         sample = sample_boundary(sp, opts.quad_order)
-    data = dirichlet_data(sample.points) if callable(dirichlet_data) else np.asarray(dirichlet_data)
-    if data.shape != (sample.npts, 3):
-        raise ValueError(f"dirichlet data shape {data.shape} != ({sample.npts}, 3)")
+    data = _boundary_data(dirichlet_data, sample)
 
     basis = WaveBasis(med.kappa_p, med.kappa_s, radius, opts.n_trunc, sample.points)
-    a = basis.matrix()
     row_w = np.repeat(np.sqrt(sample.weights), 3)
-    aw = a * row_w[:, None]
-    bw = data.reshape(-1) * row_w
+    aw = basis.matrix() * row_w[:, None]
 
     colnorm = np.linalg.norm(aw, axis=0)
     colscale = np.where(colnorm > 0, 1.0 / colnorm, 0.0)
@@ -194,36 +282,8 @@ def solve_exterior_dirichlet(
             f"condition {s[0] / s[-1]:.3e}",
             stacklevel=2,
         )
-
-    svd_pack = (u, s_trunc, vh, colscale, row_w)
-    y = u.conj().T @ bw
-    with np.errstate(divide="ignore"):
-        inv_s = np.where(s_trunc > 0, 1.0 / s_trunc, 0.0)
-    c = (vh.conj().T @ (inv_s * y)) * colscale
-
-    total_w = float(np.sum(sample.weights))
-    resid_norm = float(np.linalg.norm(aw @ c - bw))
-    rms = resid_norm / math.sqrt(total_w)
-    bnorm = float(np.linalg.norm(bw))
-    rel = resid_norm / bnorm if bnorm > 0 else 0.0
-    if bnorm > 0 and rel > opts.residual_tol:
-        raise SolverError(
-            f"boundary residual {rel:.3e} (relative) exceeds tolerance {opts.residual_tol:.1e} "
-            f"at truncation order {opts.n_trunc}"
-        )
-
-    return ScatteredSolution(
-        potentials=PotentialCoeffs(opts.n_trunc, basis.potentials_from_vector(c)),
-        order=opts.n_trunc,
-        residual_rms=rms,
-        residual_rel=rel,
-        condition=condition,
-        rank=rank,
-        sample=sample,
-        basis=basis,
-        coeff_vector=c,
-        _svd=svd_pack,
-    )
+    fac = BoundaryFactorization(u, s_trunc, vh, colscale, row_w, aw, rank, condition)
+    return _fit(fac, data, sample, basis, med, opts)
 
 
 def solve_rigid_scattering(
@@ -274,6 +334,10 @@ class MeasurementSet:
         r = np.linalg.norm(self.points, axis=1)
         if np.any(np.abs(r - self.radius) > 1e-8 * max(self.radius, 1.0)):
             raise ValueError("measurement points must lie on the sphere of the stated radius")
+        if self.u.shape != self.points.shape:
+            raise ValueError(
+                f"measurement values of shape {self.u.shape} do not match points of shape {self.points.shape}"
+            )
 
     @property
     def k(self) -> int:
@@ -327,14 +391,21 @@ def scattering_operator(
     points: np.ndarray,
     options: SolverOptions = SolverOptions(),
     solution: ScatteredSolution | None = None,
+    eval_matrix: np.ndarray | None = None,
 ) -> MeasurementSet:
     """Total displacement u = u_inc + v on the measurement points.
 
-    Pass a precomputed ``solution`` to reuse an existing forward solve.
+    Pass a precomputed ``solution`` to reuse an existing forward solve, and
+    the basis matrix of the solution's order at ``points`` as
+    ``eval_matrix`` to reuse it across solutions.
     """
     if solution is None:
         solution = solve_rigid_scattering(sp, w, med, radius, options)
-    u = incident_field(w, med, points)[0] + solution.evaluate(points)
+    if eval_matrix is None:
+        scattered = solution.evaluate(points)
+    else:
+        scattered = (eval_matrix @ solution.coeff_vector).reshape(-1, 3)
+    u = incident_field(w, med, points)[0] + scattered
     return MeasurementSet(radius=radius, med=med, incident=w, points=points, u=u)
 
 

@@ -1,11 +1,12 @@
 import csv
 import json
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from elastoscat import forward as fw, geometry as geo
+from elastoscat import forward as fw, geometry as geo, modal
 from elastoscat.cli import _parse_directions, _parse_freqs, _parse_medium, main
 
 
@@ -25,6 +26,48 @@ def test_option_parsers(tmp_path):
     dirfile = tmp_path / "dirs.json"
     dirfile.write_text(json.dumps([[0, 2, 0]]))
     assert _parse_directions(str(dirfile)) == [(0.0, 1.0, 0.0)]
+
+
+def test_directions_reject_zero_vectors(tmp_path):
+    with pytest.raises(click.BadParameter):
+        _parse_directions("single:0,0,0")
+    dirfile = tmp_path / "dirs.json"
+    for rows in ([[1, 0, 0], [0, 0, 0]], [[0, 1]]):
+        dirfile.write_text(json.dumps(rows))
+        with pytest.raises(click.BadParameter):
+            _parse_directions(str(dirfile))
+
+
+def test_synth_cube_faces_matches_per_direction_solves(runner, tmp_path):
+    # synth factors once per frequency; its files must equal independent solves
+    res = runner.invoke(
+        main,
+        [
+            "synth",
+            "--surface", "ellipsoid:0.55,0.6,0.65",
+            "--freqs", "1,1.5",
+            "--noise", "0.05",
+            "--seed", "7",
+            "--directions", "preset:cube-faces",
+            "--kpoints", "12",
+            "--n-trunc", "8",
+            "--out", str(tmp_path / "synth"),
+        ],
+        catch_exceptions=False,
+    )
+    assert res.exit_code == 0
+    sp = geo.ellipsoid_coeffs(0.55, 0.6, 0.65, 1)
+    points = fw.fibonacci_sphere(12, 1.0)
+    opts = fw.SolverOptions(n_trunc=8, quad_order=12, residual_tol=2e-2)
+    for iw, omega in enumerate((1.0, 1.5)):
+        med = modal.Medium(2.0, 1.0, omega)
+        for jd, d in enumerate(_parse_directions("preset:cube-faces")):
+            wave = fw.IncidentWave("p", d)
+            sol = fw.solve_rigid_scattering(sp, wave, med, 1.0, opts)
+            ms = fw.scattering_operator(sp, wave, med, 1.0, points, opts, solution=sol)
+            name = f"data_w{iw}_d{jd}.json"
+            fw.add_noise(ms, 0.05, 7 + 1000 * iw + jd).save(tmp_path / name)
+            assert (tmp_path / name).read_bytes() == (tmp_path / "synth" / name).read_bytes()
 
 
 def test_synth_writes_parseable_deterministic_files(runner, tmp_path):

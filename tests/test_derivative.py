@@ -216,3 +216,42 @@ def test_objective_sums_over_bundle(ellipsoid_dataset):
     f2, g2 = dv.objective_and_gradient(c, [ms, ms], OPTS)
     assert f2 == pytest.approx(2 * f1, rel=1e-12)
     np.testing.assert_allclose(g2, 2 * g1, rtol=1e-12)
+
+
+def test_summed_objective_is_sum_of_single_calls(ellipsoid_dataset):
+    # the second direction is re-solved against the first one's factorization;
+    # that must give exactly what its own solve gives
+    ms = ellipsoid_dataset
+    other = fw.MeasurementSet(ms.radius, ms.med, fw.IncidentWave("p", (0.0, 0.0, 1.0)), ms.points, ms.u)
+    c = geo.ellipsoid_coeffs(0.72, 0.74, 0.78, 1)
+    f1, g1 = dv.objective_and_gradient(c, [ms], OPTS)
+    f2, g2 = dv.objective_and_gradient(c, [other], OPTS)
+    f, g = dv.objective_and_gradient(c, [ms, other], OPTS)
+    assert f == f1 + f2
+    np.testing.assert_array_equal(g, g1 + g2)
+    assert dv.objective_and_gradient(c, [ms, other], OPTS, with_gradient=False) == f
+
+
+def test_eval_cache_keyed_on_points(ellipsoid_dataset, rng):
+    # same frequency, radius and point count, different point order: a cache
+    # filled by one set must not serve the other
+    ms = ellipsoid_dataset
+    perm = rng.permutation(ms.k)
+    ms2 = fw.MeasurementSet(ms.radius, ms.med, ms.incident, ms.points[perm], ms.u[perm])
+    c = geo.ellipsoid_coeffs(0.72, 0.74, 0.78, 1)
+    cache = {}
+    dv.objective_and_gradient(c, [ms], OPTS, eval_cache=cache)
+    f_cached, g_cached = dv.objective_and_gradient(c, [ms2], OPTS, eval_cache=cache)
+    f_fresh, g_fresh = dv.objective_and_gradient(c, [ms2], OPTS)
+    assert f_cached == f_fresh
+    np.testing.assert_array_equal(g_cached, g_fresh)
+
+
+def test_programming_errors_are_not_rejected_steps(ellipsoid_dataset, monkeypatch):
+    def broken_solve(*args, **kwargs):
+        raise TypeError("unexpected argument")
+
+    monkeypatch.setattr(dv, "solve_rigid_scattering", broken_solve)
+    c = geo.ellipsoid_coeffs(0.72, 0.74, 0.78, 1)
+    with pytest.raises(TypeError):
+        dv.objective_and_gradient(c, [ellipsoid_dataset], OPTS)

@@ -135,6 +135,39 @@ def test_nonconvergence_raises(med_std, pwave):
         fw.solve_rigid_scattering(ell, pwave, med_std, R, fw.SolverOptions(n_trunc=8, quad_order=12, residual_tol=1e-8))
 
 
+def test_resolve_equals_fresh_solve(med_std, pwave):
+    # a re-solve against the stored factorization is the same computation as
+    # a fresh factor-and-solve, so every reported quantity agrees bitwise
+    ell = geo.ellipsoid_coeffs(0.7, 0.75, 0.8, 1)
+    opts = fw.SolverOptions(n_trunc=8, quad_order=12, residual_tol=1e-2)
+    base = fw.solve_rigid_scattering(ell, pwave, med_std, R, opts)
+    for w in (
+        fw.IncidentWave("p", (1.0, 0.0, 0.0)),
+        fw.IncidentWave("s", (0.0, 0.0, -1.0), (1.0, 0.0, 0.0)),
+    ):
+        again = base.resolve_incident(w)
+        fresh = fw.solve_rigid_scattering(ell, w, med_std, R, opts)
+        np.testing.assert_array_equal(again.coeff_vector, fresh.coeff_vector)
+        assert again.residual_rel == fresh.residual_rel
+        assert again.residual_rms == fresh.residual_rms
+        assert again.rank == fresh.rank
+        assert again.condition == fresh.condition
+        assert again.factorization is base.factorization
+
+
+def test_resolve_checks_its_own_residual(med_std, pwave, rng):
+    ell = geo.ellipsoid_coeffs(0.7, 0.75, 0.8, 1)
+    opts = fw.SolverOptions(n_trunc=8, quad_order=12, residual_tol=1e-2)
+    base = fw.solve_rigid_scattering(ell, pwave, med_std, R, opts)
+    assert base.residual_rel <= 1e-2
+    # white noise on the nodes lies far outside the span of the basis traces
+    noise = rng.standard_normal((base.sample.npts, 3))
+    with pytest.raises(fw.SolverError):
+        base.resolve(noise)
+    with pytest.raises(ValueError):
+        base.resolve(noise[:-1])
+
+
 def test_solution_radiation_condition(med_std, pwave, rng):
     # the Sommerfeld defect d_r phi - i kp phi decays like 1/r^2: its
     # r-weighted form falls like 1/r and its plain magnitude at 50 R is far
@@ -246,6 +279,17 @@ def test_measurement_json_roundtrip(tmp_path, med_std, pwave, rng):
 def test_measurement_point_validation(med_std, pwave):
     with pytest.raises(ValueError):
         fw.MeasurementSet(R, med_std, pwave, np.array([[0.5, 0, 0]]), np.zeros((1, 3), dtype=complex))
+
+
+def test_measurement_shape_validation(tmp_path, med_std, pwave):
+    pts = fw.fibonacci_sphere(10, R)
+    with pytest.raises(ValueError):
+        fw.MeasurementSet(R, med_std, pwave, pts, np.zeros((7, 3), dtype=complex))
+    ms = fw.MeasurementSet(R, med_std, pwave, pts, np.ones((10, 3), dtype=complex))
+    d = ms.to_json_dict()
+    d["u"] = d["u"][:7]
+    with pytest.raises(ValueError):
+        fw.MeasurementSet.from_json_dict(d)
 
 
 # ---------------------------------------------------------------------------
