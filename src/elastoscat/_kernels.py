@@ -1,38 +1,10 @@
-"""Low-level numeric kernels with optional numba acceleration.
-
-Every public function in this module has two implementations: a numba
-``@njit`` version and a pure-numpy fallback.  The fallback is selected by
-setting the environment variable ``ELASTOSCAT_NO_NUMBA=1`` before import
-(or automatically if numba is missing).  Both paths produce arrays with
-identical shapes and agree to floating-point roundoff; see
-``benchmarks/bench_kernels.py`` for a speed comparison.
-"""
+"""Low-level numeric kernels: packed normalized Legendre tables."""
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-USE_NUMBA = os.environ.get("ELASTOSCAT_NO_NUMBA", "0").lower() not in ("1", "true", "yes")
-
-if USE_NUMBA:
-    try:
-        from numba import njit, prange
-    except ImportError:  # pragma: no cover
-        USE_NUMBA = False
-
-if not USE_NUMBA:  # pure-python stand-ins so decorated code still imports
-    def njit(*args, **kwargs):
-        if len(args) == 1 and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
-
-    prange = range
+USE_NUMBA = False  # no compiled kernel exists; perfbench/worker.py reports this among its machine facts
 
 
 def tri_index(n: int, m: int) -> int:
@@ -57,78 +29,38 @@ def tri_size(nmax: int) -> int:
 _INV_SQRT4PI = 0.28209479177387814  # 1/sqrt(4 pi)
 
 
-def _legendre_tables_numpy(nmax, costh, sinth):
-    npts = costh.shape[0]
-    size = tri_size(nmax)
-    p = np.zeros((npts, size))
-    sdp = np.zeros((npts, size))  # sin(th) * d p / d th
-
-    p[:, 0] = _INV_SQRT4PI
-    # diagonal p[m, m] and first subdiagonal p[m+1, m]
-    for m in range(1, nmax + 1):
-        im, prev = tri_index(m, m), tri_index(m - 1, m - 1)
-        p[:, im] = np.sqrt((2 * m + 1) / (2.0 * m)) * sinth * p[:, prev]
-    for m in range(0, nmax):
-        p[:, tri_index(m + 1, m)] = np.sqrt(2 * m + 3.0) * costh * p[:, tri_index(m, m)]
-    for m in range(0, nmax + 1):
-        for n in range(m + 2, nmax + 1):
-            a = np.sqrt((4.0 * n * n - 1.0) / (n * n - m * m))
-            b = np.sqrt(((n - 1.0) ** 2 - m * m) / (4.0 * (n - 1.0) ** 2 - 1.0))
-            p[:, tri_index(n, m)] = a * (costh * p[:, tri_index(n - 1, m)] - b * p[:, tri_index(n - 2, m)])
-    # sin(th) dP/dth = n cos(th) P_n^m - sqrt((n^2-m^2)(2n+1)/(2n-1)) P_{n-1}^m
-    for m in range(0, nmax + 1):
-        for n in range(m, nmax + 1):
-            acc = n * costh * p[:, tri_index(n, m)]
-            if n > m:
-                c = np.sqrt((n * n - m * m) * (2.0 * n + 1.0) / (2.0 * n - 1.0))
-                acc = acc - c * p[:, tri_index(n - 1, m)]
-            sdp[:, tri_index(n, m)] = acc
-    return p, sdp
-
-
-@njit(cache=True)
-def _legendre_tables_numba(nmax, costh, sinth):  # pragma: no cover - mirrored by numpy path
-    npts = costh.shape[0]
-    size = (nmax + 1) * (nmax + 2) // 2
-    p = np.zeros((npts, size))
-    sdp = np.zeros((npts, size))
-    for i in prange(npts):
-        x = costh[i]
-        s = sinth[i]
-        p[i, 0] = _INV_SQRT4PI
-        for m in range(1, nmax + 1):
-            im = m * (m + 1) // 2 + m
-            prev = (m - 1) * m // 2 + (m - 1)
-            p[i, im] = np.sqrt((2 * m + 1) / (2.0 * m)) * s * p[i, prev]
-        for m in range(0, nmax):
-            p[i, (m + 1) * (m + 2) // 2 + m] = np.sqrt(2 * m + 3.0) * x * p[i, m * (m + 1) // 2 + m]
-        for m in range(0, nmax + 1):
-            for n in range(m + 2, nmax + 1):
-                a = np.sqrt((4.0 * n * n - 1.0) / (n * n - m * m))
-                b = np.sqrt(((n - 1.0) ** 2 - m * m) / (4.0 * (n - 1.0) ** 2 - 1.0))
-                p[i, n * (n + 1) // 2 + m] = a * (
-                    x * p[i, (n - 1) * n // 2 + m] - b * p[i, (n - 2) * (n - 1) // 2 + m]
-                )
-        for m in range(0, nmax + 1):
-            for n in range(m, nmax + 1):
-                acc = n * x * p[i, n * (n + 1) // 2 + m]
-                if n > m:
-                    c = np.sqrt((n * n - m * m) * (2.0 * n + 1.0) / (2.0 * n - 1.0))
-                    acc = acc - c * p[i, (n - 1) * n // 2 + m]
-                sdp[i, n * (n + 1) // 2 + m] = acc
-    return p, sdp
-
-
 def legendre_tables(nmax: int, costh: np.ndarray, sinth: np.ndarray):
     """Normalized Legendre values and sin(th)-scaled theta-derivatives.
 
     Returns arrays of shape ``(npts, (nmax+1)(nmax+2)/2)`` packed by
-    ``tri_index(n, m)`` for ``0 <= m <= n <= nmax``.
+    ``tri_index(n, m)`` for ``0 <= m <= n <= nmax``.  Degree n occupies the
+    contiguous columns ``tri_index(n, 0) .. tri_index(n, n)``, so each step
+    of the recurrence in n fills a whole row of orders at once.
     """
     costh = np.ascontiguousarray(costh, dtype=np.float64)
     sinth = np.ascontiguousarray(sinth, dtype=np.float64)
-    if USE_NUMBA:
-        return _legendre_tables_numba(nmax, costh, sinth)
-    return _legendre_tables_numpy(nmax, costh, sinth)
+    npts = costh.shape[0]
+    p = np.zeros((npts, tri_size(nmax)))
+    sdp = np.zeros_like(p)  # sin(th) * d p / d th
+    x = costh[:, None]
 
-
+    p[:, 0] = _INV_SQRT4PI
+    for n in range(1, nmax + 1):
+        row, prev = tri_index(n, 0), tri_index(n - 1, 0)
+        if n >= 2:  # three-term recurrence in n for m <= n-2
+            m = np.arange(n - 1)
+            a = np.sqrt((4.0 * n * n - 1.0) / (n * n - m * m))
+            b = np.sqrt(((n - 1.0) ** 2 - m * m) / (4.0 * (n - 1.0) ** 2 - 1.0))
+            p[:, row : row + n - 1] = a * (x * p[:, prev : prev + n - 1] - b * p[:, tri_index(n - 2, 0) : prev])
+        # first subdiagonal p[n, n-1] and diagonal p[n, n] from p[n-1, n-1]
+        p[:, row + n - 1] = np.sqrt(2 * n + 1.0) * costh * p[:, prev + n - 1]
+        p[:, row + n] = np.sqrt((2 * n + 1) / (2.0 * n)) * sinth * p[:, prev + n - 1]
+    # sin(th) dP/dth = n cos(th) P_n^m - sqrt((n^2-m^2)(2n+1)/(2n-1)) P_{n-1}^m
+    for n in range(nmax + 1):
+        row, prev = tri_index(n, 0), tri_index(n - 1, 0)
+        sdp[:, row : row + n + 1] = n * x * p[:, row : row + n + 1]
+        if n > 0:
+            m = np.arange(n)
+            c = np.sqrt((n * n - m * m) * (2.0 * n + 1.0) / (2.0 * n - 1.0))
+            sdp[:, row : row + n] -= c * p[:, prev : prev + n]
+    return p, sdp

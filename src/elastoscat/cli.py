@@ -28,9 +28,10 @@ class RunConfig:
     command: str
     options: dict
 
-    def save(self, path: Path) -> None:
+    def save(self, path: Path, **outcome) -> None:
+        """Write the config; ``outcome`` entries become top-level keys next to it."""
         with open(path, "w") as f:
-            json.dump({"schema": 1, **asdict(self)}, f, indent=2, sort_keys=True)
+            json.dump({"schema": 1, **asdict(self), **outcome}, f, indent=2, sort_keys=True)
             f.write("\n")
 
 
@@ -213,6 +214,7 @@ def invert(data, outdir, iterations, tau, r0, sum_directions, backtracking, resi
     opts = None
     if n_trunc is not None:
         opts = forward.SolverOptions(n_trunc=n_trunc, quad_order=n_trunc + 4, residual_tol=residual_tol)
+    failed_stage = None
     try:
         state = inverse.continuation_run(
             datasets,
@@ -225,7 +227,7 @@ def invert(data, outdir, iterations, tau, r0, sum_directions, backtracking, resi
         )
     except inverse.StageError as exc:
         click.echo(f"stage failed: {exc}; writing partial history", err=True)
-        state = exc.state
+        state, failed_stage = exc.state, exc.stage
     for i, snap in enumerate(state.snapshots):
         snap.save(out / f"stage_{i}.json")
     state.surface.save(out / "final_surface.json")
@@ -254,11 +256,17 @@ def invert(data, outdir, iterations, tau, r0, sum_directions, backtracking, resi
             "n_trunc": n_trunc,
             "omegas": list(omegas),
         },
-    ).save(out / "run_config.json")
+    ).save(
+        out / "run_config.json",
+        status="finished" if failed_stage is None else "stage_failed",
+        failed_stage=failed_stage,
+    )
     if state.history:
         click.echo(f"final objective {state.history[-1]['objective']:.6e}; outputs in {out}")
     else:
         click.echo(f"no completed iterations; outputs in {out}")
+    if failed_stage is not None:
+        sys.exit(1)
 
 
 def _check_report(lam: float, mu: float, omega: float, radius: float, seed: int) -> dict:

@@ -69,6 +69,8 @@ class ShapeJacobian:
 
     def column(self, i: int) -> np.ndarray:
         """u'_i at the measurement points, shape (K, 3); i is 1-based."""
+        if not 1 <= i <= self.matrix.shape[1]:
+            raise ValueError(f"coefficient index {i} out of range 1..{self.matrix.shape[1]}")
         return self.matrix[:, i - 1].reshape(-1, 3)
 
 
@@ -102,25 +104,6 @@ def shape_jacobian(
     if eval_matrix is None:
         eval_matrix = measurement_basis(med, radius, sol.order, points)
     return ShapeJacobian(matrix=eval_matrix @ coeffs, order=sp.order)
-
-
-def domain_derivative(
-    sp: SurfaceParam,
-    sol: ScatteredSolution,
-    w: IncidentWave,
-    med: Medium,
-    radius: float,
-    i: int,
-    points: np.ndarray,
-) -> np.ndarray:
-    """Single Jacobian column u'_i at the measurement points, shape (K, 3)."""
-    if not 1 <= i <= coeff_length(sp.order):
-        raise ValueError(f"coefficient index {i} out of range")
-    dnu = normal_derivative_total_field(sol, w, med)
-    q = perturbation_q_table(sp, sol.sample)[i - 1]
-    coeff = sol.solve_rhs(-q[:, None] * dnu)
-    basis = WaveBasis(med.kappa_p, med.kappa_s, radius, sol.order, points)
-    return (basis.matrix() @ coeff).reshape(-1, 3)
 
 
 def objective_and_gradient(

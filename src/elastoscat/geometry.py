@@ -175,19 +175,6 @@ def surface_points(sp: SurfaceParam, theta, phi, tables=None):
     return pts, d_t, d_p
 
 
-def eval_surface(sp: SurfaceParam, theta: float, phi: float):
-    """Surface point, parametric tangents, and unit outward normal at (th, ph)."""
-    pts, d_t, d_p = surface_points(sp, [theta], [phi])
-    cross = np.cross(d_t[0], d_p[0])
-    norm = np.linalg.norm(cross)
-    if norm < 1e-14:
-        raise GeometryError(f"degenerate tangents at (theta={theta}, phi={phi})")
-    normal = cross / norm
-    if np.dot(normal, pts[0]) < 0:
-        normal = -normal
-    return pts[0], (d_t[0], d_p[0]), normal
-
-
 @dataclass
 class BoundarySample:
     """Quadrature sampling of a surface: points, outward unit normals,
@@ -239,14 +226,6 @@ def sample_boundary(sp: SurfaceParam, order: int) -> BoundarySample:
 # ---------------------------------------------------------------------------
 # Coefficient perturbations
 # ---------------------------------------------------------------------------
-
-
-def perturbation_q(i: int, sp: SurfaceParam, theta: float, phi: float, normal: np.ndarray) -> float:
-    """Normal-velocity basis function q_i = nu_j * {Re|Im} Y_n^m at one point."""
-    j, is_imag, n, m = decode_coeff_index(i, sp.order)
-    y = specfun.sph_harmonic((n, m), theta, phi)
-    part = y.imag if is_imag else y.real
-    return float(normal[j - 1] * part)
 
 
 def perturbation_q_table(sp: SurfaceParam, sample: BoundarySample) -> np.ndarray:

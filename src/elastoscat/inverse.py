@@ -21,10 +21,11 @@ from .specfun import sphere_quadrature, sph_to_cart
 
 
 class StageError(RuntimeError):
-    """A continuation stage exhausted its step retries; carries partial state."""
+    """A continuation stage exhausted its step retries; carries the stage index and partial state."""
 
-    def __init__(self, message: str, state: "InversionState"):
+    def __init__(self, message: str, stage: int, state: "InversionState"):
         super().__init__(message)
+        self.stage = stage
         self.state = state
 
 
@@ -144,7 +145,7 @@ def descent_stage(
             _check_containment(state.surface, radius)
             f, g = objective_and_gradient(state.surface, group, options, eval_cache=eval_cache)
         except ObjectiveError as exc:
-            raise StageError(f"stage {stage}: starting point infeasible: {exc}", state) from exc
+            raise StageError(f"stage {stage}: starting point infeasible: {exc}", stage, state) from exc
         state.record(
             stage=stage, omega=schedule.omegas[stage], sweep=sweep, iteration=0, objective=f, tau=tau
         )
@@ -166,6 +167,7 @@ def descent_stage(
             else:
                 raise StageError(
                     f"stage {stage} iteration {it}: step rejected after {max_step_retries} retries",
+                    stage,
                     state,
                 )
             state.surface, f, g = trial, f_new, g_new

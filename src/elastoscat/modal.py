@@ -150,13 +150,8 @@ def _z_tables(kappa_p: float, kappa_s: float, radius: float, order: int):
     return zp, zs
 
 
-def lambda_n(med: Medium, radius: float, n: int) -> complex:
-    """Lambda_n = z_n(kp R) (1 + z_n(ks R)) - n(n+1); Im Lambda_n < 0 always."""
-    zp, zs = _z_tables(med.kappa_p, med.kappa_s, radius, n)
-    return complex(zp[n] * (1.0 + zs[n]) - n * (n + 1))
-
-
 def lambda_table(med: Medium, radius: float, order: int) -> np.ndarray:
+    """Lambda_n = z_n(kp R) (1 + z_n(ks R)) - n(n+1) for n = 0..order; Im Lambda_n < 0 always."""
     zp, zs = _z_tables(med.kappa_p, med.kappa_s, radius, order)
     n = np.arange(order + 1)
     return zp * (1.0 + zs) - n * (n + 1)
@@ -341,14 +336,13 @@ def apply_T2(tangential: np.ndarray, med: Medium, radius: float) -> np.ndarray:
     """Tangential transparent-boundary operator on (T, V) coefficient pairs.
 
     Mode n scales the T component by i ks R / (1 + z_n(ks R)) and the V
-    component by its reciprocal.  1 + z_n never vanishes (Re z_n <= -1
-    forces Im z_n > 0); asserted anyway.
+    component by its reciprocal.  1 + z_n never vanishes: Re z_n <= -1, and
+    :func:`~elastoscat.specfun.z_log_derivative_table` keeps Im z_n > 0.
     """
     tangential = np.asarray(tangential, dtype=complex)
     order = int(round(math.sqrt(tangential.shape[0]))) - 1
     _, zs = _z_tables(med.kappa_p, med.kappa_s, radius, order)
     one_plus = 1.0 + zs
-    assert np.all(np.abs(one_plus) > 0), "1 + z_n(ks R) vanished"
     iksr = 1j * med.kappa_s * radius
     t_scale = np.repeat(iksr / one_plus, 2 * np.arange(order + 1) + 1)
     v_scale = np.repeat(one_plus / iksr, 2 * np.arange(order + 1) + 1)

@@ -30,7 +30,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import _kernels
-from ._kernels import tri_index
 
 
 class DomainError(ValueError):
@@ -61,53 +60,16 @@ def unflatten_index(i: int) -> tuple[int, int]:
     return n, m
 
 
-@dataclass(frozen=True)
-class HarmonicIndex:
-    """Order/degree pair (n, m) with |m| <= n."""
-
-    n: int
-    m: int
-
-    def __post_init__(self):
-        if self.n < 0 or abs(self.m) > self.n:
-            raise DomainError(f"invalid harmonic index (n={self.n}, m={self.m})")
-
-    @property
-    def flat(self) -> int:
-        return flatten_index(self.n, self.m)
-
-    @classmethod
-    def from_flat(cls, i: int) -> "HarmonicIndex":
-        return cls(*unflatten_index(i))
+def harmonic_columns(nmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """Degree n and order m of every flat column ``flatten_index(n, m) - 1``, n <= nmax."""
+    n = np.repeat(np.arange(nmax + 1), 2 * np.arange(nmax + 1) + 1)
+    m = np.arange((nmax + 1) ** 2) - n * n - n
+    return n, m
 
 
 # ---------------------------------------------------------------------------
 # Coordinates
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SphericalPoint:
-    """Point in spherical coordinates (r > 0, th in [0, pi], ph in [0, 2 pi))."""
-
-    r: float
-    theta: float
-    phi: float
-
-    def __post_init__(self):
-        if self.r <= 0:
-            raise DomainError(f"radius must be positive, got {self.r}")
-
-    def to_cartesian(self) -> np.ndarray:
-        st = math.sin(self.theta)
-        return self.r * np.array(
-            [st * math.cos(self.phi), st * math.sin(self.phi), math.cos(self.theta)]
-        )
-
-    @classmethod
-    def from_cartesian(cls, x) -> "SphericalPoint":
-        r, th, ph = cart_to_sph(np.asarray(x, dtype=float)[None, :])
-        return cls(float(r[0]), float(th[0]), float(ph[0]))
 
 
 def cart_to_sph(points: np.ndarray):
@@ -173,27 +135,6 @@ def spherical_h1_deriv_table(h: np.ndarray, t) -> np.ndarray:
     return hp
 
 
-def spherical_hankel1(n: int, t):
-    """h_n^{(1)}(t) and h_n^{(1)'}(t).
-
-    Parameters
-    ----------
-    n : int
-        Order, n >= 0.
-    t : float or array
-        Positive argument.
-    """
-    if n < 0:
-        raise DomainError(f"order must be >= 0, got {n}")
-    scalar = np.isscalar(t)
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    h = spherical_h1_table(n, t)
-    hp = spherical_h1_deriv_table(h, t)
-    if scalar:
-        return complex(h[n][0]), complex(hp[n][0])
-    return h[n], hp[n]
-
-
 def z_log_derivative_table(nmax: int, t: float) -> np.ndarray:
     """z_n(t) = t h_n^{(1)'}(t) / h_n^{(1)}(t) for n = 0..nmax.
 
@@ -236,10 +177,6 @@ def z_log_derivative(n: int, t: float) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _phase(m: int) -> float:
-    return -1.0 if (m > 0 and m % 2 == 1) else 1.0
-
-
 def sph_harmonic_tables(nmax: int, theta, phi):
     """Y_n^m and angular derivatives at the given angles, all modes n <= nmax.
 
@@ -252,27 +189,25 @@ def sph_harmonic_tables(nmax: int, theta, phi):
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
     costh, sinth = np.cos(theta), np.sin(theta)
     p, sdp = _kernels.legendre_tables(nmax, costh, sinth)
-    npts = theta.shape[0]
-    nmodes = (nmax + 1) ** 2
-    y = np.empty((npts, nmodes), dtype=complex)
-    dy = np.empty_like(y)
-    dphi_over_sin = np.empty_like(y)
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv_sin = np.where(sinth != 0, 1.0 / sinth, 0.0)
-    for n in range(nmax + 1):
-        for m in range(-n, n + 1):
-            col = flatten_index(n, m) - 1
-            am = abs(m)
-            ph = _phase(m) * np.exp(-1j * m * phi)
-            y[:, col] = ph * p[:, tri_index(n, am)]
-            dy[:, col] = ph * sdp[:, tri_index(n, am)] * inv_sin
-            dphi_over_sin[:, col] = (-1j * m) * y[:, col] * inv_sin
+        inv_sin = np.where(sinth != 0, 1.0 / sinth, 0.0)[:, None]
+    n, m = harmonic_columns(nmax)
+    tri = _kernels.tri_index(n, np.abs(m))
+    # sigma_m exp(-i m ph) for each distinct order, then spread over the columns
+    orders = np.arange(-nmax, nmax + 1)
+    sigma = np.where((orders > 0) & (orders % 2 == 1), -1.0, 1.0)
+    ph = (sigma * np.exp(-1j * orders * phi[:, None]))[:, m + nmax]
+    y = ph * p[:, tri]
+    dy = ph * sdp[:, tri]
+    dy *= inv_sin  # in place: fewer (npts, ncols) temporaries
+    dphi_over_sin = (-1j * m) * y
+    dphi_over_sin *= inv_sin
     return y, dy, dphi_over_sin
 
 
-def sph_harmonic(idx: HarmonicIndex | tuple[int, int], theta, phi):
-    """Orthonormal spherical harmonic Y_n^m(theta, phi)."""
-    n, m = (idx.n, idx.m) if isinstance(idx, HarmonicIndex) else idx
+def sph_harmonic(idx: tuple[int, int], theta, phi):
+    """Orthonormal spherical harmonic Y_n^m(theta, phi) of the index pair (n, m)."""
+    n, m = idx
     if abs(m) > n:
         raise DomainError(f"invalid harmonic index (n={n}, m={m})")
     scalar = np.isscalar(theta) and np.isscalar(phi)
@@ -295,7 +230,7 @@ def vector_harmonics(idx, theta, phi, radius: float):
     t, v, w : complex arrays of shape (npts, 3)
     degenerate : bool
     """
-    n, m = (idx.n, idx.m) if isinstance(idx, HarmonicIndex) else idx
+    n, m = idx
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
     y, dy, dps = sph_harmonic_tables(n, theta, phi)

@@ -64,14 +64,9 @@ def _angular_tables(nmax: int, theta: np.ndarray, phi: np.ndarray, ref_radius: f
     with np.errstate(divide="ignore", invalid="ignore"):
         cot = np.where(sinth != 0, costh / sinth, 0.0)
         inv_sin = np.where(sinth != 0, 1.0 / sinth, 0.0)
-    nmodes = (nmax + 1) ** 2
-    mvals = np.empty(nmodes)
-    nn1 = np.empty(nmodes)
-    for n in range(nmax + 1):
-        for m in range(-n, n + 1):
-            col = specfun.flatten_index(n, m) - 1
-            mvals[col] = m
-            nn1[col] = n * (n + 1)
+    n, m = specfun.harmonic_columns(nmax)
+    mvals = m.astype(float)  # float: -(m**2) is then -0.0 at m = 0, a sign bit the outputs carry
+    nn1 = n * (n + 1.0)
     ya = y / ref_radius
     yt = dy / ref_radius
     yps = dps / ref_radius

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the code paths it is used to check:
 plane-wave PDE residuals come from high-precision finite differences
 (mpmath), sphere scattering from per-mode block solves driven by
-quadrature expansion of the boundary data, and derivatives from central
-differences.
+quadrature expansion of the boundary data, derivatives from central
+differences, and the perturbations q_i from one scalar harmonic per point
+instead of the table path.
 """
 
 from __future__ import annotations
@@ -12,7 +13,24 @@ from __future__ import annotations
 import mpmath as mp
 import numpy as np
 
-from elastoscat import specfun as sf
+from elastoscat import geometry as geo, specfun as sf
+
+
+def eval_surface(sp, theta, phi):
+    """Surface point, parametric tangents and unit outward normal at one (th, ph)."""
+    pts, d_t, d_p = geo.surface_points(sp, [theta], [phi])
+    cross = np.cross(d_t[0], d_p[0])
+    normal = cross / np.linalg.norm(cross)
+    if np.dot(normal, pts[0]) < 0:
+        normal = -normal
+    return pts[0], (d_t[0], d_p[0]), normal
+
+
+def perturbation_q(i, sp, theta, phi, normal):
+    """Normal-velocity basis function q_i = nu_j * {Re|Im} Y_n^m at one point."""
+    j, is_imag, n, m = geo.decode_coeff_index(i, sp.order)
+    y = sf.sph_harmonic((n, m), theta, phi)
+    return float(normal[j - 1] * (y.imag if is_imag else y.real))
 
 
 def navier_residual_fd(field, lam, mu, omega, point, h="1e-10", dps=40):

@@ -129,8 +129,40 @@ def test_invert_pipeline(runner, tmp_path):
     assert float(rows[-1]["objective"]) < float(rows[0]["objective"])
     for plane in ("x1", "x2", "x3"):
         assert (out_run / f"cross_section_{plane}.csv").exists()
-    assert (out_run / "run_config.json").exists()
+    config = json.loads((out_run / "run_config.json").read_text())
+    assert config["status"] == "finished" and config["failed_stage"] is None
     assert (out_run / "stage_0.json").exists()
+
+
+def test_invert_stage_failure_exits_nonzero(runner, tmp_path):
+    # an r0 = 1.5 start lies outside the radius-1 measurement sphere, so stage 0 fails
+    out_data = tmp_path / "data"
+    res = runner.invoke(
+        main,
+        [
+            "synth",
+            "--surface", "sphere:0.5",
+            "--freqs", "1:1:1",
+            "--noise", "0",
+            "--kpoints", "10",
+            "--n-trunc", "8",
+            "--radius", "1",
+            "--out", str(out_data),
+        ],
+        catch_exceptions=False,
+    )
+    assert res.exit_code == 0
+    assert "status" not in json.loads((out_data / "synth_config.json").read_text())
+    out_run = tmp_path / "run"
+    res = runner.invoke(
+        main, ["invert", "--data", str(out_data / "data_*.json"), "--r0", "1.5", "--out", str(out_run)]
+    )
+    assert res.exit_code != 0
+    config = json.loads((out_run / "run_config.json").read_text())
+    assert config["status"] == "stage_failed" and config["failed_stage"] == 0
+    assert (out_run / "final_surface.json").exists()
+    for plane in ("x1", "x2", "x3"):
+        assert (out_run / f"cross_section_{plane}.csv").exists()
 
 
 def test_invert_rejects_inconsistent_bundle(runner, tmp_path):

