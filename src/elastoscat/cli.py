@@ -200,6 +200,9 @@ def invert(data, outdir, iterations, tau, r0, sum_directions, backtracking, resi
     paths = sorted(globmod.glob(data)) if any(ch in data for ch in "*?[") else data.split(",")
     if not paths:
         raise click.ClickException(f"no data files match {data!r}")
+    for p in paths:
+        if not Path(p).is_file():
+            raise click.BadParameter(f"{p!r} is not a measurement file", param_hint="'--data'")
     datasets = [forward.MeasurementSet.load(p) for p in paths]
     radius = datasets[0].radius
     lam, mu = datasets[0].med.lam, datasets[0].med.mu

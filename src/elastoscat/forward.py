@@ -7,9 +7,11 @@ quadrature grid (null-field / Rayleigh-hypothesis representation; valid
 for the mildly deformed star-shaped surfaces targeted here, and the
 boundary residual is always reported so failures are visible).
 
-The least-squares system uses column-norm equilibration and truncated-SVD
-regularization; Hankel growth across orders makes the raw columns badly
-scaled.
+The least-squares system is column-norm equilibrated (Hankel growth across
+orders makes the raw columns badly scaled) and factored by a Householder
+QR.  Only a system whose condition estimate says a truncated SVD could drop
+a singular value (or one with fewer rows than columns) is factored by that
+truncated SVD instead.
 """
 
 from __future__ import annotations
@@ -92,9 +94,10 @@ class SolverOptions:
     """Discretization controls for the exterior solve.
 
     ``n_trunc`` defaults to the Wiscombe-style order for modal content
-    kappa_s * R; ``quad_order`` to ``n_trunc + 2``.  ``residual_tol`` is the
-    relative boundary residual beyond which the solve is reported as not
-    converged.
+    kappa_s * R; ``quad_order`` to ``n_trunc + 2``.  ``svd_cutoff`` is the
+    relative singular-value cutoff of the truncated SVD that near-singular
+    boundary systems are solved with.  ``residual_tol`` is the relative
+    boundary residual beyond which the solve is reported as not converged.
     """
 
     n_trunc: int | None = None
@@ -110,18 +113,22 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class BoundaryFactorization:
-    """Truncated SVD of the equilibrated boundary least-squares matrix.
+    """Factorization of the equilibrated boundary least-squares matrix.
 
     ``aw`` is the basis matrix with rows scaled by the square roots of the
-    quadrature weights ``row_w``; ``aw * colscale = u @ diag(s) @ vh`` with
-    singular values below the cutoff set to zero in ``s_trunc``.  The
-    matrix depends only on the surface sample, medium and truncation, so
-    one factorization serves every right-hand side on that system.
+    quadrature weights ``row_w``; ``aw * colscale`` is the equilibrated
+    matrix A.  Its least-squares solution operator is ``right @ qh``: from
+    the QR factorization A = Q R, ``qh = Q^H`` and ``right = R^-1``; from the
+    truncated SVD used for near-singular systems, ``qh = U_k^H`` and
+    ``right = V_k S_k^-1`` over the ``rank`` singular values kept.
+    ``condition`` is the 1-norm condition number of R, or the ratio of the
+    largest to the smallest kept singular value.  The matrix depends only
+    on the surface sample, medium and truncation, so one factorization
+    serves every right-hand side on that system.
     """
 
-    u: np.ndarray
-    s_trunc: np.ndarray
-    vh: np.ndarray
+    qh: np.ndarray
+    right: np.ndarray
     colscale: np.ndarray
     row_w: np.ndarray
     aw: np.ndarray
@@ -131,11 +138,40 @@ class BoundaryFactorization:
     def coefficients(self, bw: np.ndarray) -> np.ndarray:
         """Least-squares coefficients for weighted right-hand sides ``bw`` of
         shape (rows,) or (rows, k); returns (ncols,) or (ncols, k)."""
-        y = self.u.conj().T @ bw
-        with np.errstate(divide="ignore"):
-            inv_s = np.where(self.s_trunc > 0, 1.0 / self.s_trunc, 0.0)
         per_col = (-1,) + (1,) * (bw.ndim - 1)
-        return (self.vh.conj().T @ (inv_s.reshape(per_col) * y)) * self.colscale.reshape(per_col)
+        return (self.right @ (self.qh @ bw)) * self.colscale.reshape(per_col)
+
+
+def _factor(a: np.ndarray, svd_cutoff: float) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """``(qh, right, rank, condition)`` of an equilibrated matrix ``a``.
+
+    QR with R inverted explicitly, and ``condition`` the 1-norm condition
+    number of R.  Since cond_2 <= n cond_1 for an n x n matrix, a truncated
+    SVD with relative cutoff ``svd_cutoff`` keeps every singular value when
+    ``n * condition * svd_cutoff < 1``; otherwise, or when there are fewer
+    rows than columns or R is singular, the truncated SVD is used.
+    """
+    rows, cols = a.shape
+    if rows >= cols:
+        q, r = np.linalg.qr(a)
+        try:
+            r_inv = np.linalg.inv(r)
+        except np.linalg.LinAlgError:
+            pass  # exactly singular R: the truncated SVD below finds the rank
+        else:
+            condition = float(np.linalg.norm(r, 1) * np.linalg.norm(r_inv, 1))
+            if cols * condition * svd_cutoff < 1:
+                return np.conjugate(q, out=q).T, r_inv, cols, condition  # in place: one rows x cols array
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    rank = int(np.count_nonzero((s >= svd_cutoff * s[0]) & (s > 0)))
+    if rank < s.shape[0]:
+        warnings.warn(
+            f"boundary system rank-deficient beyond cutoff: rank {rank}/{s.shape[0]}, "
+            f"condition {s[0] / s[-1]:.3e}",
+            stacklevel=3,
+        )
+    condition = float(s[0] / s[rank - 1]) if rank else math.inf
+    return u[:, :rank].conj().T, vh[:rank].conj().T / s[:rank], rank, condition
 
 
 @dataclass
@@ -271,18 +307,8 @@ def solve_exterior_dirichlet(
 
     colnorm = np.linalg.norm(aw, axis=0)
     colscale = np.where(colnorm > 0, 1.0 / colnorm, 0.0)
-    u, s, vh = np.linalg.svd(aw * colscale[None, :], full_matrices=False)
-    keep = s >= opts.svd_cutoff * s[0]
-    s_trunc = np.where(keep, s, 0.0)
-    rank = int(np.count_nonzero(keep))
-    condition = float(s[0] / s_trunc[keep][-1]) if rank else math.inf
-    if rank < s.shape[0]:
-        warnings.warn(
-            f"boundary system rank-deficient beyond cutoff: rank {rank}/{s.shape[0]}, "
-            f"condition {s[0] / s[-1]:.3e}",
-            stacklevel=2,
-        )
-    fac = BoundaryFactorization(u, s_trunc, vh, colscale, row_w, aw, rank, condition)
+    qh, right, rank, condition = _factor(aw * colscale[None, :], opts.svd_cutoff)
+    fac = BoundaryFactorization(qh, right, colscale, row_w, aw, rank, condition)
     return _fit(fac, data, sample, basis, med, opts)
 
 

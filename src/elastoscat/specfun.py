@@ -1,8 +1,9 @@
 """Special functions on the sphere.
 
-Spherical Hankel functions of the first kind and their logarithmic
-derivative, orthonormal scalar and vector spherical harmonics, harmonic
-index flattening, and Gauss-Legendre x trapezoid quadrature on the sphere.
+Tables of spherical Hankel functions of the first kind and their
+logarithmic derivative, tables of orthonormal spherical harmonics and their
+angular derivatives, harmonic index flattening, and Gauss-Legendre x
+trapezoid quadrature on the sphere.
 
 Harmonic convention
 -------------------
@@ -165,13 +166,6 @@ def z_log_derivative_table(nmax: int, t: float) -> np.ndarray:
     return z
 
 
-def z_log_derivative(n: int, t: float) -> complex:
-    """Logarithmic derivative z_n(t); satisfies -(n+1) <= Re z <= -1, 0 < Im z <= t."""
-    if n < 0:
-        raise DomainError(f"order must be >= 0, got {n}")
-    return complex(z_log_derivative_table(n, t)[n])
-
-
 # ---------------------------------------------------------------------------
 # Scalar spherical harmonics
 # ---------------------------------------------------------------------------
@@ -203,49 +197,6 @@ def sph_harmonic_tables(nmax: int, theta, phi):
     dphi_over_sin = (-1j * m) * y
     dphi_over_sin *= inv_sin
     return y, dy, dphi_over_sin
-
-
-def sph_harmonic(idx: tuple[int, int], theta, phi):
-    """Orthonormal spherical harmonic Y_n^m(theta, phi) of the index pair (n, m)."""
-    n, m = idx
-    if abs(m) > n:
-        raise DomainError(f"invalid harmonic index (n={n}, m={m})")
-    scalar = np.isscalar(theta) and np.isscalar(phi)
-    theta, phi = np.broadcast_arrays(np.atleast_1d(theta), np.atleast_1d(phi))
-    y, _, _ = sph_harmonic_tables(n, theta.ravel(), phi.ravel())
-    out = y[:, flatten_index(n, m) - 1].reshape(theta.shape)
-    return complex(out.ravel()[0]) if scalar else out
-
-
-def vector_harmonics(idx, theta, phi, radius: float):
-    """Vector spherical harmonics (T_n^m, V_n^m, W_n^m) on the sphere of a given radius.
-
-    With X = Y/radius:  T = grad_ang X / sqrt(n(n+1)), V = T x e_r, W = X e_r.
-    The family is orthonormal in L^2 of the radius-``radius`` sphere.  For
-    n = 0 the tangential members T, V are identically zero; the returned
-    ``degenerate`` flag marks that case.
-
-    Returns
-    -------
-    t, v, w : complex arrays of shape (npts, 3)
-    degenerate : bool
-    """
-    n, m = idx
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    y, dy, dps = sph_harmonic_tables(n, theta, phi)
-    col = flatten_index(n, m) - 1
-    e_r, e_t, e_p = spherical_frame(theta, phi)
-    w = y[:, col, None] * e_r / radius
-    if n == 0:
-        zeros = np.zeros_like(w)
-        return zeros, zeros.copy(), w, True
-    norm = 1.0 / (radius * math.sqrt(n * (n + 1)))
-    a = dy[:, col] * norm  # e_theta component of T
-    b = dps[:, col] * norm  # e_phi component of T
-    t = a[:, None] * e_t + b[:, None] * e_p
-    v = b[:, None] * e_t - a[:, None] * e_p  # T x e_r
-    return t, v, w, False
 
 
 # ---------------------------------------------------------------------------
@@ -290,29 +241,3 @@ def sphere_quadrature(order: int) -> SphereQuadrature:
     for arr in (quad.theta, quad.phi, quad.weights):
         arr.setflags(write=False)
     return quad
-
-
-def vsh_expand(values: np.ndarray, quad: SphereQuadrature, nmax: int) -> np.ndarray:
-    """Expand a sampled 3-vector field on the unit sphere in (t, v, w) harmonics.
-
-    ``values`` has shape (npts, 3); the returned array has shape
-    ``((nmax+1)^2, 3)`` with columns ordered (t, v, w) in the unit-sphere
-    normalized basis (i.e. radius = 1 in :func:`vector_harmonics`).
-    """
-    y, dy, dps = sph_harmonic_tables(nmax, quad.theta, quad.phi)
-    e_r, e_t, e_p = spherical_frame(quad.theta, quad.phi)
-    f_r = np.sum(values * e_r, axis=1)
-    f_t = np.sum(values * e_t, axis=1)
-    f_p = np.sum(values * e_p, axis=1)
-    coeffs = np.zeros(((nmax + 1) ** 2, 3), dtype=complex)
-    wf_r, wf_t, wf_p = quad.weights * f_r, quad.weights * f_t, quad.weights * f_p
-    for n in range(nmax + 1):
-        fac = 1.0 / math.sqrt(n * (n + 1)) if n > 0 else 0.0
-        for m in range(-n, n + 1):
-            col = flatten_index(n, m) - 1
-            a = np.conj(dy[:, col]) * fac
-            b = np.conj(dps[:, col]) * fac
-            coeffs[col, 0] = wf_t @ a + wf_p @ b
-            coeffs[col, 1] = wf_t @ b - wf_p @ a
-            coeffs[col, 2] = wf_r @ np.conj(y[:, col])
-    return coeffs

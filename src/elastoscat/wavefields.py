@@ -19,9 +19,10 @@ potential trace coefficients psi_{2n}^m, psi_{3n}^m on the reference
 sphere.  E_M and E_N vanish identically for n = 0.
 
 Values, and Jacobians contracted with arbitrary directions, are assembled
-from analytic spherical-frame gradients and Hessians of the scalar modes;
-the only third-order derivative needed is the radial derivative of the
-Hessian, which the symmetry of third derivatives reduces to
+one degree n at a time, with array operations over the 2n+1 orders of the
+degree, from analytic spherical-frame gradients and Hessians of the scalar
+modes; the only third-order derivative needed is the radial derivative of
+the Hessian, which the symmetry of third derivatives reduces to
 (x . grad) Hess = r d/dr Hess.
 """
 
@@ -111,7 +112,6 @@ class WaveBasis:
 
     def vector_from_potentials(self, pot: np.ndarray) -> np.ndarray:
         """Stack a ((nmax+1)^2, 3) potential-coefficient array into a column vector."""
-        m = self.nmodes
         return np.concatenate([pot[:, 0], pot[1:, 1], pot[1:, 2]])
 
     def potentials_from_vector(self, vec: np.ndarray) -> np.ndarray:
@@ -122,76 +122,88 @@ class WaveBasis:
         pot[1:, 2] = vec[2 * m - 1 :]
         return pot
 
-    # -- per-mode spherical-frame building blocks ---------------------------
+    # -- per-degree spherical-frame building blocks --------------------------
+    #
+    # Every component below has shape (npts, 2n+1): one column per order m of
+    # the degree n.  Spherical-frame vectors are tuples (r, th, ph) of such
+    # components; per-point factors enter as (npts, 1) columns.
 
-    def _mode_pack(self, n: int, col: int, shear: bool):
-        f0, f1, f2, f3 = (self.rad_s if shear else self.rad_p)
-        ya, yt, yps, ytt, atp, app = self.ang
-        r = self.r
-        f0n, f1n, f2n, f3n = f0[n], f1[n], f2[n], f3[n]
-        a_y, a_t, a_p = ya[:, col], yt[:, col], yps[:, col]
-        s_val = f0n * a_y
-        grad = np.stack([f1n * a_y, f0n / r * a_t, f0n / r * a_p], axis=0)
+    def _degree_grad(self, n: int, shear: bool):
+        """Scalar modes of degree n and their spherical gradients."""
+        f0, f1 = (self.rad_s if shear else self.rad_p)[:2]
+        ya, yt, yps = (a[:, n * n : (n + 1) ** 2] for a in self.ang[:3])
+        r = self.r[:, None]
+        f0n, f1n = f0[n][:, None], f1[n][:, None]
+        return f0n * ya, (f1n * ya, f0n / r * yt, f0n / r * yps)
+
+    def _degree_hess(self, n: int, shear: bool):
+        """Spherical Hessian components of the scalar modes of degree n."""
+        f0, f1, f2 = (self.rad_s if shear else self.rad_p)[:3]
+        ya, yt, yps, ytt, atp, app = (a[:, n * n : (n + 1) ** 2] for a in self.ang)
+        r = self.r[:, None]
+        f0n, f1n, f2n = f0[n][:, None], f1[n][:, None], f2[n][:, None]
         c_rt = f1n / r - f0n / r**2
-        hess = {
-            "rr": f2n * a_y,
-            "rt": c_rt * a_t,
-            "rp": c_rt * a_p,
-            "tt": f0n / r**2 * ytt[:, col] + f1n / r * a_y,
-            "tp": f0n / r**2 * atp[:, col],
-            "pp": f0n / r**2 * app[:, col] + f1n / r * a_y,
+        return {
+            "rr": f2n * ya,
+            "rt": c_rt * yt,
+            "rp": c_rt * yps,
+            "tt": f0n / r**2 * ytt + f1n / r * ya,
+            "tp": f0n / r**2 * atp,
+            "pp": f0n / r**2 * app + f1n / r * ya,
         }
-        return s_val, grad, hess
 
-    def _mode_rhess(self, n: int, col: int):
+    def _degree_rhess(self, n: int):
         """r d/dr of the spherical Hessian components (shear wavenumber)."""
         f0, f1, f2, f3 = self.rad_s
-        ya, yt, yps, ytt, atp, app = self.ang
-        r = self.r
-        f0n, f1n, f2n, f3n = f0[n], f1[n], f2[n], f3[n]
+        ya, yt, yps, ytt, atp, app = (a[:, n * n : (n + 1) ** 2] for a in self.ang)
+        r = self.r[:, None]
+        f0n, f1n, f2n, f3n = f0[n][:, None], f1[n][:, None], f2[n][:, None], f3[n][:, None]
         c_rt = f2n - 2 * f1n / r + 2 * f0n / r**2
         c_ang = f1n / r - 2 * f0n / r**2
         c_iso = f2n - f1n / r
         return {
-            "rr": r * f3n * ya[:, col],
-            "rt": c_rt * yt[:, col],
-            "rp": c_rt * yps[:, col],
-            "tt": c_ang * ytt[:, col] + c_iso * ya[:, col],
-            "tp": c_ang * atp[:, col],
-            "pp": c_ang * app[:, col] + c_iso * ya[:, col],
+            "rr": r * f3n * ya,
+            "rt": c_rt * yt,
+            "rp": c_rt * yps,
+            "tt": c_ang * ytt + c_iso * ya,
+            "tp": c_ang * atp,
+            "pp": c_ang * app + c_iso * ya,
         }
 
     @staticmethod
     def _matvec(h, v):
         """Symmetric spherical-component matrix times spherical-component vector."""
-        return np.stack(
-            [
-                h["rr"] * v[0] + h["rt"] * v[1] + h["rp"] * v[2],
-                h["rt"] * v[0] + h["tt"] * v[1] + h["tp"] * v[2],
-                h["rp"] * v[0] + h["tp"] * v[1] + h["pp"] * v[2],
-            ],
-            axis=0,
-        )
-
-    def _to_cartesian(self, v_sph: np.ndarray) -> np.ndarray:
-        e_r, e_t, e_p = self.frame
         return (
-            v_sph[0][:, None] * e_r + v_sph[1][:, None] * e_t + v_sph[2][:, None] * e_p
-        )
-
-    def _to_spherical(self, v_cart: np.ndarray) -> np.ndarray:
-        e_r, e_t, e_p = self.frame
-        return np.stack(
-            [np.sum(v_cart * e_r, axis=1), np.sum(v_cart * e_t, axis=1), np.sum(v_cart * e_p, axis=1)],
-            axis=0,
+            h["rr"] * v[0] + h["rt"] * v[1] + h["rp"] * v[2],
+            h["rt"] * v[0] + h["tt"] * v[1] + h["tp"] * v[2],
+            h["rp"] * v[0] + h["tp"] * v[1] + h["pp"] * v[2],
         )
 
     @staticmethod
     def _cross(a, b):
-        return np.stack(
-            [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]],
-            axis=0,
-        )
+        return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+    def _to_cartesian(self, v_sph):
+        """Cartesian components of a spherical-frame vector, shape (npts, 3, 2n+1)."""
+        e_r, e_t, e_p = (e[:, :, None] for e in self.frame)
+        cart = v_sph[0][:, None] * e_r
+        cart += v_sph[1][:, None] * e_t
+        cart += v_sph[2][:, None] * e_p
+        return cart
+
+    def _to_spherical(self, v_cart: np.ndarray):
+        """Spherical-frame components of per-point Cartesian vectors, each (npts, 1)."""
+        return tuple(np.sum(v_cart * e, axis=1)[:, None] for e in self.frame)
+
+    def _radial(self):
+        """The position vector x = r e_r in the spherical frame."""
+        r = self.r[:, None]
+        return (r, np.zeros_like(r), np.zeros_like(r))
+
+    def _family_columns(self, n: int):
+        """Column slices of the E_P, E_N and E_M fields of degree n."""
+        lo, hi, m = n * n, (n + 1) ** 2, self.nmodes
+        return slice(lo, hi), slice(m - 1 + lo, m - 1 + hi), slice(2 * m - 2 + lo, 2 * m - 2 + hi)
 
     # -- public assembly -----------------------------------------------------
 
@@ -202,58 +214,56 @@ class WaveBasis:
         ``(pt0_x, pt0_y, pt0_z, pt1_x, ...)``.
         """
         out = np.empty((self.npts, 3, self.ncols), dtype=complex)
-        m = self.nmodes
         ks = self.kappa_s
-        radial = np.stack([self.r, np.zeros_like(self.r), np.zeros_like(self.r)], axis=0)
+        radial = self._radial()
+        r = radial[0]
         for n in range(self.nmax + 1):
+            cols_p, cols_n, cols_m = self._family_columns(n)
+            out[:, :, cols_p] = self._to_cartesian(self._degree_grad(n, shear=False)[1])
+            if n == 0:
+                continue
             nn1 = n * (n + 1)
-            for mm in range(-n, n + 1):
-                col = specfun.flatten_index(n, mm) - 1
-                s_p, g_p, _ = self._mode_pack(n, col, shear=False)
-                out[:, :, col] = self._to_cartesian(g_p)
-                if n == 0:
-                    continue
-                s_s, g_s, h_s = self._mode_pack(n, col, shear=True)
-                # E_M = c_M * grad s x  x ; with x = r e_r the cross is in-frame
-                e_m = np.stack([np.zeros_like(s_s), self.r * g_s[2], -self.r * g_s[1]], axis=0)
-                out[:, :, 2 * m - 1 + col - 1] = (ks**2 * self.ref_radius / nn1) * self._to_cartesian(e_m)
-                # E_N = c_N * (2 grad s + kappa^2 s x + H x)
-                e_n = 2.0 * g_s + ks**2 * s_s * radial + self._matvec(h_s, radial)
-                out[:, :, m + col - 1] = self._to_cartesian(e_n) / math.sqrt(nn1)
+            s_s, g_s = self._degree_grad(n, shear=True)
+            # E_M = c_M * grad s x  x ; with x = r e_r the cross is in-frame
+            e_m = (np.zeros_like(s_s), r * g_s[2], -r * g_s[1])
+            np.multiply(ks**2 * self.ref_radius / nn1, self._to_cartesian(e_m), out=out[:, :, cols_m])
+            # E_N = c_N * (2 grad s + kappa^2 s x + H x)
+            ks2s = ks**2 * s_s
+            hx = self._matvec(self._degree_hess(n, shear=True), radial)
+            e_n = tuple(2.0 * g + ks2s * x + h for g, x, h in zip(g_s, radial, hx))
+            np.divide(self._to_cartesian(e_n), math.sqrt(nn1), out=out[:, :, cols_n])
         return out.reshape(3 * self.npts, self.ncols)
 
     def deriv_along(self, directions: np.ndarray) -> np.ndarray:
         """Directional derivatives (d . grad) of every basis field.
 
-        ``directions`` has shape (npts, 3); the result has shape
-        (3*npts, ncols) with the same row layout as :meth:`matrix`.
+        ``directions`` has shape (npts, 3) or (1, 3) for one direction at
+        every point; the result has shape (3*npts, ncols) with the same row
+        layout as :meth:`matrix`.
         """
         directions = np.atleast_2d(np.asarray(directions, dtype=float))
         if directions.shape == (1, 3) and self.npts > 1:
             directions = np.broadcast_to(directions, (self.npts, 3))
         out = np.empty((self.npts, 3, self.ncols), dtype=complex)
-        m = self.nmodes
         ks = self.kappa_s
         nu_s = self._to_spherical(directions)
-        radial = np.stack([self.r, np.zeros_like(self.r), np.zeros_like(self.r)], axis=0)
+        radial = self._radial()
         for n in range(self.nmax + 1):
+            cols_p, cols_n, cols_m = self._family_columns(n)
+            out[:, :, cols_p] = self._to_cartesian(self._matvec(self._degree_hess(n, shear=False), nu_s))
+            if n == 0:
+                continue
             nn1 = n * (n + 1)
-            for mm in range(-n, n + 1):
-                col = specfun.flatten_index(n, mm) - 1
-                s_p, g_p, h_p = self._mode_pack(n, col, shear=False)
-                out[:, :, col] = self._to_cartesian(self._matvec(h_p, nu_s))
-                if n == 0:
-                    continue
-                s_s, g_s, h_s = self._mode_pack(n, col, shear=True)
-                hnu = self._matvec(h_s, nu_s)
-                # J_M . nu = (H nu) x  x + grad s x nu
-                jm = self._cross(hnu, radial) + self._cross(g_s, nu_s)
-                out[:, :, 2 * m - 1 + col - 1] = (ks**2 * self.ref_radius / nn1) * self._to_cartesian(jm)
-                # J_N . nu = 3 H nu + kappa^2 ((g . nu) x + s nu) + (r dH/dr) nu
-                rh = self._mode_rhess(n, col)
-                gdotnu = g_s[0] * nu_s[0] + g_s[1] * nu_s[1] + g_s[2] * nu_s[2]
-                jn = 3.0 * hnu + ks**2 * (gdotnu * radial + s_s * nu_s) + self._matvec(rh, nu_s)
-                out[:, :, m + col - 1] = self._to_cartesian(jn) / math.sqrt(nn1)
+            s_s, g_s = self._degree_grad(n, shear=True)
+            hnu = self._matvec(self._degree_hess(n, shear=True), nu_s)
+            # J_M . nu = (H nu) x  x + grad s x nu
+            jm = tuple(a + b for a, b in zip(self._cross(hnu, radial), self._cross(g_s, nu_s)))
+            np.multiply(ks**2 * self.ref_radius / nn1, self._to_cartesian(jm), out=out[:, :, cols_m])
+            # J_N . nu = 3 H nu + kappa^2 ((g . nu) x + s nu) + (r dH/dr) nu
+            gdotnu = g_s[0] * nu_s[0] + g_s[1] * nu_s[1] + g_s[2] * nu_s[2]
+            rhnu = self._matvec(self._degree_rhess(n), nu_s)
+            jn = tuple(3.0 * h + ks**2 * (gdotnu * x + s_s * v) + rh for h, x, v, rh in zip(hnu, radial, nu_s, rhnu))
+            np.divide(self._to_cartesian(jn), math.sqrt(nn1), out=out[:, :, cols_n])
         return out.reshape(3 * self.npts, self.ncols)
 
     def evaluate(self, vec: np.ndarray) -> np.ndarray:

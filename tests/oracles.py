@@ -4,16 +4,102 @@ Everything here deliberately avoids the code paths it is used to check:
 plane-wave PDE residuals come from high-precision finite differences
 (mpmath), sphere scattering from per-mode block solves driven by
 quadrature expansion of the boundary data, derivatives from central
-differences, and the perturbations q_i from one scalar harmonic per point
-instead of the table path.
+differences, the perturbations q_i from one scalar harmonic per point
+instead of the table path, and the wave basis from one (n, m) mode at a
+time instead of one degree at a time.  The single-harmonic, vector-harmonic
+and quadrature-expansion helpers read the production harmonic tables; the
+tests check them by closed forms and orthonormality.
 """
 
 from __future__ import annotations
+
+import math
 
 import mpmath as mp
 import numpy as np
 
 from elastoscat import geometry as geo, specfun as sf
+
+
+# ---------------------------------------------------------------------------
+# Single harmonics, vector harmonics and quadrature expansion on the table path
+# ---------------------------------------------------------------------------
+
+
+def z_log_derivative(n: int, t: float) -> complex:
+    """Logarithmic derivative z_n(t); satisfies -(n+1) <= Re z <= -1, 0 < Im z <= t."""
+    if n < 0:
+        raise sf.DomainError(f"order must be >= 0, got {n}")
+    return complex(sf.z_log_derivative_table(n, t)[n])
+
+
+def sph_harmonic(idx: tuple[int, int], theta, phi):
+    """Orthonormal spherical harmonic Y_n^m(theta, phi) of the index pair (n, m)."""
+    n, m = idx
+    if abs(m) > n:
+        raise sf.DomainError(f"invalid harmonic index (n={n}, m={m})")
+    scalar = np.isscalar(theta) and np.isscalar(phi)
+    theta, phi = np.broadcast_arrays(np.atleast_1d(theta), np.atleast_1d(phi))
+    y, _, _ = sf.sph_harmonic_tables(n, theta.ravel(), phi.ravel())
+    out = y[:, sf.flatten_index(n, m) - 1].reshape(theta.shape)
+    return complex(out.ravel()[0]) if scalar else out
+
+
+def vector_harmonics(idx, theta, phi, radius: float):
+    """Vector spherical harmonics (T_n^m, V_n^m, W_n^m) on the sphere of a given radius.
+
+    With X = Y/radius:  T = grad_ang X / sqrt(n(n+1)), V = T x e_r, W = X e_r.
+    The family is orthonormal in L^2 of the radius-``radius`` sphere.  For
+    n = 0 the tangential members T, V are identically zero; the returned
+    ``degenerate`` flag marks that case.
+
+    Returns
+    -------
+    t, v, w : complex arrays of shape (npts, 3)
+    degenerate : bool
+    """
+    n, m = idx
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    phi = np.atleast_1d(np.asarray(phi, dtype=float))
+    y, dy, dps = sf.sph_harmonic_tables(n, theta, phi)
+    col = sf.flatten_index(n, m) - 1
+    e_r, e_t, e_p = sf.spherical_frame(theta, phi)
+    w = y[:, col, None] * e_r / radius
+    if n == 0:
+        zeros = np.zeros_like(w)
+        return zeros, zeros.copy(), w, True
+    norm = 1.0 / (radius * math.sqrt(n * (n + 1)))
+    a = dy[:, col] * norm  # e_theta component of T
+    b = dps[:, col] * norm  # e_phi component of T
+    t = a[:, None] * e_t + b[:, None] * e_p
+    v = b[:, None] * e_t - a[:, None] * e_p  # T x e_r
+    return t, v, w, False
+
+
+def vsh_expand(values: np.ndarray, quad: sf.SphereQuadrature, nmax: int) -> np.ndarray:
+    """Expand a sampled 3-vector field on the unit sphere in (t, v, w) harmonics.
+
+    ``values`` has shape (npts, 3); the returned array has shape
+    ``((nmax+1)^2, 3)`` with columns ordered (t, v, w) in the unit-sphere
+    normalized basis (i.e. radius = 1 in :func:`vector_harmonics`).
+    """
+    y, dy, dps = sf.sph_harmonic_tables(nmax, quad.theta, quad.phi)
+    e_r, e_t, e_p = sf.spherical_frame(quad.theta, quad.phi)
+    f_r = np.sum(values * e_r, axis=1)
+    f_t = np.sum(values * e_t, axis=1)
+    f_p = np.sum(values * e_p, axis=1)
+    coeffs = np.zeros(((nmax + 1) ** 2, 3), dtype=complex)
+    wf_r, wf_t, wf_p = quad.weights * f_r, quad.weights * f_t, quad.weights * f_p
+    for n in range(nmax + 1):
+        fac = 1.0 / math.sqrt(n * (n + 1)) if n > 0 else 0.0
+        for m in range(-n, n + 1):
+            col = sf.flatten_index(n, m) - 1
+            a = np.conj(dy[:, col]) * fac
+            b = np.conj(dps[:, col]) * fac
+            coeffs[col, 0] = wf_t @ a + wf_p @ b
+            coeffs[col, 1] = wf_t @ b - wf_p @ a
+            coeffs[col, 2] = wf_r @ np.conj(y[:, col])
+    return coeffs
 
 
 def eval_surface(sp, theta, phi):
@@ -29,7 +115,7 @@ def eval_surface(sp, theta, phi):
 def perturbation_q(i, sp, theta, phi, normal):
     """Normal-velocity basis function q_i = nu_j * {Re|Im} Y_n^m at one point."""
     j, is_imag, n, m = geo.decode_coeff_index(i, sp.order)
-    y = sf.sph_harmonic((n, m), theta, phi)
+    y = sph_harmonic((n, m), theta, phi)
     return float(normal[j - 1] * (y.imag if is_imag else y.real))
 
 
@@ -119,7 +205,7 @@ def sphere_block_solve(a, med, radius, order, boundary_data_fn, quad_order=None)
     quad = sf.sphere_quadrature(quad_order)
     pts = sf.sph_to_cart(a, quad.theta, quad.phi)
     data = boundary_data_fn(pts)
-    cu = sf.vsh_expand(data, quad, order)  # unit-sphere (t, v, w) coefficients
+    cu = vsh_expand(data, quad, order)  # unit-sphere (t, v, w) coefficients
 
     kp, ks = med.kappa_p, med.kappa_s
     h_pa = sf.spherical_h1_table(order, np.array([kp * a]))
@@ -152,3 +238,125 @@ def sphere_block_solve(a, med, radius, order, boundary_data_fn, quad_order=None)
             pot[col, 0], pot[col, 1] = sol
             pot[col, 2] = cu[col, 1] / (ks**2 * radius * f_s / s / radius)
     return pot
+
+
+# ---------------------------------------------------------------------------
+# Wave basis assembled one (n, m) mode at a time
+# ---------------------------------------------------------------------------
+
+
+def _mode_pack(basis, n, col, shear):
+    f0, f1, f2, f3 = basis.rad_s if shear else basis.rad_p
+    ya, yt, yps, ytt, atp, app = basis.ang
+    r = basis.r
+    f0n, f1n, f2n, f3n = f0[n], f1[n], f2[n], f3[n]
+    a_y, a_t, a_p = ya[:, col], yt[:, col], yps[:, col]
+    s_val = f0n * a_y
+    grad = np.stack([f1n * a_y, f0n / r * a_t, f0n / r * a_p], axis=0)
+    c_rt = f1n / r - f0n / r**2
+    hess = {
+        "rr": f2n * a_y,
+        "rt": c_rt * a_t,
+        "rp": c_rt * a_p,
+        "tt": f0n / r**2 * ytt[:, col] + f1n / r * a_y,
+        "tp": f0n / r**2 * atp[:, col],
+        "pp": f0n / r**2 * app[:, col] + f1n / r * a_y,
+    }
+    return s_val, grad, hess
+
+
+def _mode_rhess(basis, n, col):
+    """r d/dr of the spherical Hessian components (shear wavenumber)."""
+    f0, f1, f2, f3 = basis.rad_s
+    ya, yt, yps, ytt, atp, app = basis.ang
+    r = basis.r
+    f0n, f1n, f2n, f3n = f0[n], f1[n], f2[n], f3[n]
+    c_rt = f2n - 2 * f1n / r + 2 * f0n / r**2
+    c_ang = f1n / r - 2 * f0n / r**2
+    c_iso = f2n - f1n / r
+    return {
+        "rr": r * f3n * ya[:, col],
+        "rt": c_rt * yt[:, col],
+        "rp": c_rt * yps[:, col],
+        "tt": c_ang * ytt[:, col] + c_iso * ya[:, col],
+        "tp": c_ang * atp[:, col],
+        "pp": c_ang * app[:, col] + c_iso * ya[:, col],
+    }
+
+
+def _matvec(h, v):
+    return np.stack(
+        [
+            h["rr"] * v[0] + h["rt"] * v[1] + h["rp"] * v[2],
+            h["rt"] * v[0] + h["tt"] * v[1] + h["tp"] * v[2],
+            h["rp"] * v[0] + h["tp"] * v[1] + h["pp"] * v[2],
+        ],
+        axis=0,
+    )
+
+
+def _to_cartesian(basis, v_sph):
+    e_r, e_t, e_p = basis.frame
+    return v_sph[0][:, None] * e_r + v_sph[1][:, None] * e_t + v_sph[2][:, None] * e_p
+
+
+def _cross(a, b):
+    return np.stack(
+        [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]],
+        axis=0,
+    )
+
+
+def basis_matrix_per_mode(basis):
+    """``WaveBasis.matrix`` of ``basis``, one (n, m) column at a time."""
+    out = np.empty((basis.npts, 3, basis.ncols), dtype=complex)
+    m = basis.nmodes
+    ks = basis.kappa_s
+    radial = np.stack([basis.r, np.zeros_like(basis.r), np.zeros_like(basis.r)], axis=0)
+    for n in range(basis.nmax + 1):
+        nn1 = n * (n + 1)
+        for mm in range(-n, n + 1):
+            col = sf.flatten_index(n, mm) - 1
+            s_p, g_p, _ = _mode_pack(basis, n, col, shear=False)
+            out[:, :, col] = _to_cartesian(basis, g_p)
+            if n == 0:
+                continue
+            s_s, g_s, h_s = _mode_pack(basis, n, col, shear=True)
+            e_m = np.stack([np.zeros_like(s_s), basis.r * g_s[2], -basis.r * g_s[1]], axis=0)
+            out[:, :, 2 * m - 1 + col - 1] = (ks**2 * basis.ref_radius / nn1) * _to_cartesian(basis, e_m)
+            e_n = 2.0 * g_s + ks**2 * s_s * radial + _matvec(h_s, radial)
+            out[:, :, m + col - 1] = _to_cartesian(basis, e_n) / math.sqrt(nn1)
+    return out.reshape(3 * basis.npts, basis.ncols)
+
+
+def basis_deriv_along_per_mode(basis, directions):
+    """``WaveBasis.deriv_along`` of ``basis``, one (n, m) column at a time."""
+    directions = np.atleast_2d(np.asarray(directions, dtype=float))
+    if directions.shape == (1, 3) and basis.npts > 1:
+        directions = np.broadcast_to(directions, (basis.npts, 3))
+    out = np.empty((basis.npts, 3, basis.ncols), dtype=complex)
+    m = basis.nmodes
+    ks = basis.kappa_s
+    e_r, e_t, e_p = basis.frame
+    nu_s = np.stack(
+        [np.sum(directions * e_r, axis=1), np.sum(directions * e_t, axis=1), np.sum(directions * e_p, axis=1)],
+        axis=0,
+    )
+    radial = np.stack([basis.r, np.zeros_like(basis.r), np.zeros_like(basis.r)], axis=0)
+    for n in range(basis.nmax + 1):
+        nn1 = n * (n + 1)
+        for mm in range(-n, n + 1):
+            col = sf.flatten_index(n, mm) - 1
+            s_p, g_p, h_p = _mode_pack(basis, n, col, shear=False)
+            out[:, :, col] = _to_cartesian(basis, _matvec(h_p, nu_s))
+            if n == 0:
+                continue
+            s_s, g_s, h_s = _mode_pack(basis, n, col, shear=True)
+            hnu = _matvec(h_s, nu_s)
+            jm = _cross(hnu, radial) + _cross(g_s, nu_s)
+            out[:, :, 2 * m - 1 + col - 1] = (ks**2 * basis.ref_radius / nn1) * _to_cartesian(basis, jm)
+            rh = _mode_rhess(basis, n, col)
+            gdotnu = g_s[0] * nu_s[0] + g_s[1] * nu_s[1] + g_s[2] * nu_s[2]
+            jn = 3.0 * hnu + ks**2 * (gdotnu * radial + s_s * nu_s) + _matvec(rh, nu_s)
+            out[:, :, m + col - 1] = _to_cartesian(basis, jn) / math.sqrt(nn1)
+    return out.reshape(3 * basis.npts, basis.ncols)

@@ -1,11 +1,16 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import elastoscat
 from elastoscat import forward as fw, geometry as geo, modal
 from elastoscat.cli import _parse_directions, _parse_freqs, _parse_medium, main
 
@@ -188,6 +193,23 @@ def test_invert_rejects_inconsistent_bundle(runner, tmp_path):
     res = runner.invoke(main, ["invert", "--data", files, "--out", str(tmp_path / "r")])
     assert res.exit_code != 0
     assert "inconsistent" in res.output
+
+
+def test_invert_rejects_missing_or_directory_data(runner, tmp_path):
+    for data in (tmp_path, tmp_path / "missing.json"):
+        res = runner.invoke(main, ["invert", "--data", str(data), "--out", str(tmp_path / "r")])
+        assert res.exit_code == 2  # a usage error, not a traceback
+        assert "--data" in res.output and str(data) in res.output
+    assert not (tmp_path / "r").exists()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is a test-only dependency; importing it would add to every run's start-up time
+    src = str(Path(elastoscat.__file__).resolve().parents[1])
+    code = "import sys, elastoscat.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "[]"
 
 
 def test_check_passes(runner, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from elastoscat import forward as fw, geometry as geo, modal, specfun as sf
 
-from oracles import navier_residual_fd, sphere_block_solve
+from oracles import navier_residual_fd, sphere_block_solve, vsh_expand, z_log_derivative
 
 R = 1.0
 
@@ -155,6 +155,53 @@ def test_resolve_equals_fresh_solve(med_std, pwave):
         assert again.factorization is base.factorization
 
 
+def test_factorization_paths_agree(med_std, pwave):
+    # the cutoff 1e-4 makes n * cond_1(R) * cutoff >= 1, so the truncated SVD
+    # factors the system; its condition (~3e3) is below 1e4, so it truncates nothing
+    ell = geo.ellipsoid_coeffs(0.6, 0.75, 0.9, 1)
+    qr = fw.solve_rigid_scattering(ell, pwave, med_std, R, fw.SolverOptions(n_trunc=8, residual_tol=0.05))
+    svd = fw.solve_rigid_scattering(
+        ell, pwave, med_std, R, fw.SolverOptions(n_trunc=8, residual_tol=0.05, svd_cutoff=1e-4)
+    )
+    ncols = qr.basis.ncols
+    assert qr.rank == svd.rank == ncols
+    assert ncols * qr.condition * 1e-4 >= 1 and svd.condition < 1e4
+    # R^-1 is upper triangular; V_k S_k^-1 is not
+    assert np.all(np.tril(qr.factorization.right, -1) == 0)
+    assert not np.all(np.tril(svd.factorization.right, -1) == 0)
+    np.testing.assert_allclose(svd.coeff_vector, qr.coeff_vector, rtol=0, atol=1e-12 * np.abs(qr.coeff_vector).max())
+    w = fw.IncidentWave("s", (0.0, 0.0, -1.0), (1.0, 0.0, 0.0))
+    again = svd.resolve_incident(w)
+    fresh = fw.solve_rigid_scattering(
+        ell, w, med_std, R, fw.SolverOptions(n_trunc=8, residual_tol=0.05, svd_cutoff=1e-4)
+    )
+    np.testing.assert_array_equal(again.coeff_vector, fresh.coeff_vector)
+    assert (again.residual_rel, again.rank, again.condition) == (fresh.residual_rel, fresh.rank, fresh.condition)
+
+
+def test_underdetermined_system_takes_svd_path(med_std, pwave):
+    # quad_order 3 samples 32 nodes: 96 rows for the 241 columns of n_trunc 8
+    ell = geo.ellipsoid_coeffs(0.6, 0.75, 0.9, 1)
+    sol = fw.solve_rigid_scattering(
+        ell, pwave, med_std, R, fw.SolverOptions(n_trunc=8, quad_order=3, residual_tol=1.0)
+    )
+    assert (3 * sol.sample.npts, sol.basis.ncols) == (96, 241)
+    assert sol.rank == 96
+    assert sol.factorization.qh.shape == (96, 96)
+
+
+def test_singular_system_takes_truncated_svd(rng):
+    # a zero column makes R exactly singular; the SVD drops that direction and warns
+    a = rng.standard_normal((40, 6)) + 1j * rng.standard_normal((40, 6))
+    a[:, 2] = 0.0
+    x = rng.standard_normal(6) + 0j
+    x[2] = 0.0
+    with pytest.warns(UserWarning, match="rank-deficient"):
+        qh, right, rank, condition = fw._factor(a, 1e-12)
+    assert rank == 5 and qh.shape == (5, 40) and math.isfinite(condition)
+    np.testing.assert_allclose(right @ (qh @ (a @ x)), x, atol=1e-13)
+
+
 def test_resolve_checks_its_own_residual(med_std, pwave, rng):
     ell = geo.ellipsoid_coeffs(0.7, 0.75, 0.8, 1)
     opts = fw.SolverOptions(n_trunc=8, quad_order=12, residual_tol=1e-2)
@@ -194,7 +241,7 @@ def test_solution_energy_flux_signs(med_std, pwave):
     assert q1.imag >= 0
     # tangential trace pair of the vector potential: ((1+z_n) psi3 / sqrt(nn1), psi2)
     order = pot.order
-    zs = np.array([sf.z_log_derivative(n, med_std.kappa_s * R) for n in range(order + 1)])
+    zs = np.array([z_log_derivative(n, med_std.kappa_s * R) for n in range(order + 1)])
     tang = np.zeros((pot.data.shape[0], 2), dtype=complex)
     for n in range(1, order + 1):
         sl = slice(n * n, (n + 1) ** 2)
@@ -240,8 +287,8 @@ def test_total_field_boundary_identity(med_std, pwave):
     div = np.trace(g_inc, axis1=1, axis2=2)
     b_inc_pointwise = med_std.mu * d_r + (med_std.lam + med_std.mu) * div[:, None] * e_r
 
-    u_inc_coeffs = R * sf.vsh_expand(u_inc, quad, order)
-    b_inc_coeffs = R * sf.vsh_expand(b_inc_pointwise, quad, order)
+    u_inc_coeffs = R * vsh_expand(u_inc, quad, order)
+    b_inc_coeffs = R * vsh_expand(b_inc_pointwise, quad, order)
 
     v_coeffs = modal.potentials_to_displacement(sol.potentials, med_std, R).data[: (order + 1) ** 2]
     u_coeffs = modal.DisplacementCoeffs(order, u_inc_coeffs + v_coeffs, radius=R)

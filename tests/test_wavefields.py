@@ -4,7 +4,7 @@ import pytest
 from elastoscat import modal, specfun as sf
 from elastoscat.wavefields import WaveBasis
 
-from oracles import fd_curl, fd_directional
+from oracles import basis_deriv_along_per_mode, basis_matrix_per_mode, fd_curl, fd_directional, vsh_expand
 
 KP, KS, R = 1.0, 2.0, 1.0
 
@@ -106,7 +106,7 @@ def test_traces_match_potential_map(rng):
     pts = sf.sph_to_cart(R, quad.theta, quad.phi)
     wb = WaveBasis(med.kappa_p, med.kappa_s, R, order, pts)
     field = wb.evaluate(wb.vector_from_potentials(p.data))
-    coeffs = R * sf.vsh_expand(field, quad, order)
+    coeffs = R * vsh_expand(field, quad, order)
     expected = modal.potentials_to_displacement(p, med, R).data
     assert np.abs(coeffs - expected).max() < 1e-10 * np.abs(expected).max()
 
@@ -151,3 +151,19 @@ def test_electric_family_is_scaled_curl_of_magnetic(points):
     e_n = WaveBasis(KP, KS, R, 4, points[:6]).evaluate(vec_n)
     expected = (KS**2 * R / np.sqrt(nn1)) * e_n
     assert np.abs(curl - expected).max() < 1e-6 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("nmax", [0, 1, 9, 14])
+def test_degree_assembly_bitwise_equals_per_mode_loop(nmax, rng):
+    # one loop over the degree runs the same arithmetic as the per-(n, m) loop
+    npts = 3 * (nmax + 1) ** 2 + 5
+    pts = rng.normal(size=(npts, 3))
+    pts *= rng.uniform(0.55, 1.5, size=(npts, 1)) / np.linalg.norm(pts, axis=1, keepdims=True)
+    pts[0] = (0.0, 0.0, 0.8)  # north pole: the pole-safe angular factors are exercised
+    pts[1] = (0.0, 0.0, -1.2)
+    wb = WaveBasis(KP, KS, R, nmax, pts)
+    np.testing.assert_array_equal(wb.matrix().view(np.uint64), basis_matrix_per_mode(wb).view(np.uint64))
+    for nu in (rng.normal(size=(npts, 3)), np.array([[0.3, -0.5, 0.8]])):
+        np.testing.assert_array_equal(
+            wb.deriv_along(nu).view(np.uint64), basis_deriv_along_per_mode(wb, nu).view(np.uint64)
+        )
