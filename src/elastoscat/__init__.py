@@ -15,7 +15,7 @@ from .forward import (
 )
 from .geometry import BoundarySample, SurfaceParam, ellipsoid_coeffs, sample_boundary, sphere_coeffs
 from .inverse import FrequencySchedule, InversionState, continuation_run, initial_guess, surface_error
-from .modal import DisplacementCoeffs, Medium, PotentialCoeffs, eval_radiating_field
+from .modal import DisplacementCoeffs, Medium, PotentialCoeffs
 
 __version__ = "0.1.0"
 
@@ -34,7 +34,6 @@ __all__ = [
     "add_noise",
     "continuation_run",
     "ellipsoid_coeffs",
-    "eval_radiating_field",
     "fibonacci_sphere",
     "incident_field",
     "initial_guess",

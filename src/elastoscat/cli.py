@@ -44,17 +44,20 @@ def _parse_medium(text: str) -> tuple[float, float]:
 
 
 def _parse_freqs(text: str) -> list[float]:
-    parts = text.split(":")
-    if len(parts) == 3:
-        a, b, step = (float(x) for x in parts)
-        if step <= 0 or b < a:
-            raise click.BadParameter(f"bad frequency range {text!r}")
-        n = int(math.floor((b - a) / step + 1e-9)) + 1
-        return [a + i * step for i in range(n)]
+    is_range = text.count(":") == 2
     try:
-        return [float(x) for x in text.split(",")]
+        values = [float(x) for x in text.split(":" if is_range else ",")]
     except ValueError as exc:
         raise click.BadParameter(f"expected 'a:b:step' or comma list, got {text!r}") from exc
+    if not all(0 < x < math.inf for x in values):
+        raise click.BadParameter(f"frequencies (and the step) must be positive and finite, got {text!r}")
+    if not is_range:
+        return values
+    a, b, step = values
+    if b < a:
+        raise click.BadParameter(f"bad frequency range {text!r}")
+    n = int(math.floor((b - a) / step + 1e-9)) + 1
+    return [a + i * step for i in range(n)]
 
 
 _CUBE_FACES = [
@@ -75,15 +78,19 @@ def _unit_direction(row, source: str) -> tuple[float, float, float]:
     return tuple(d / norm)
 
 
+def _parse_direction(text: str, source: str) -> tuple[float, float, float]:
+    try:
+        row = [float(x) for x in text.split(",")]
+    except ValueError as exc:
+        raise click.BadParameter(f"expected 'x,y,z' in {source!r}") from exc
+    return _unit_direction(row, source)
+
+
 def _parse_directions(text: str) -> list[tuple[float, float, float]]:
     if text == "preset:cube-faces":
         return list(_CUBE_FACES)
     if text.startswith("single:"):
-        try:
-            row = [float(x) for x in text[len("single:") :].split(",")]
-        except ValueError as exc:
-            raise click.BadParameter(f"expected 'single:x,y,z', got {text!r}") from exc
-        return [_unit_direction(row, text)]
+        return [_parse_direction(text[len("single:") :], text)]
     path = Path(text)
     if not path.exists():
         raise click.BadParameter(f"directions file {text!r} does not exist")
@@ -93,15 +100,18 @@ def _parse_directions(text: str) -> list[tuple[float, float, float]]:
 
 
 def _parse_surface(text: str) -> geometry.SurfaceParam:
-    if text.startswith("sphere:"):
-        return geometry.sphere_coeffs(float(text[len("sphere:") :]), 1)
-    if text.startswith("ellipsoid:"):
-        ax, ay, az = (float(x) for x in text[len("ellipsoid:") :].split(","))
-        return geometry.ellipsoid_coeffs(ax, ay, az, 1)
-    path = Path(text)
-    if not path.exists():
-        raise click.BadParameter(f"surface file {text!r} does not exist")
-    return geometry.SurfaceParam.load(path)
+    try:
+        if text.startswith("sphere:"):
+            return geometry.sphere_coeffs(float(text[len("sphere:") :]), 1)
+        if text.startswith("ellipsoid:"):
+            ax, ay, az = (float(x) for x in text[len("ellipsoid:") :].split(","))
+            return geometry.ellipsoid_coeffs(ax, ay, az, 1)
+        path = Path(text)
+        if not path.exists():
+            raise click.BadParameter(f"surface file {text!r} does not exist")
+        return geometry.SurfaceParam.load(path)
+    except ValueError as exc:  # unparsable numbers, JSON or coefficients (GeometryError)
+        raise click.BadParameter(f"bad surface {text!r}: {exc}") from exc
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -143,9 +153,7 @@ def synth(surface, medium, radius, freqs, noise, seed, directions, kpoints, wave
         med = modal.Medium(lam, mu, omega)
         n = n_trunc if n_trunc is not None else modal.default_truncation(med.kappa_s, radius) + 4
         opts = forward.SolverOptions(n_trunc=n, quad_order=n + 4, residual_tol=2e-2)
-        # every direction shares this frequency's boundary system and measurement basis
-        eval_matrix = derivative.measurement_basis(med, radius, n, points)
-        sol = None
+        sol = None  # every direction shares this frequency's boundary system
         for jd, d in enumerate(dirs):
             if wave_kind == "p":
                 wave = forward.IncidentWave("p", d)
@@ -158,7 +166,7 @@ def synth(surface, medium, radius, freqs, noise, seed, directions, kpoints, wave
                 sol = forward.solve_rigid_scattering(sp, wave, med, radius, opts)
             else:
                 sol = sol.resolve_incident(wave)
-            ms = forward.scattering_operator(sp, wave, med, radius, points, opts, solution=sol, eval_matrix=eval_matrix)
+            ms = sol.measure(wave, points)
             if noise > 0:
                 ms = forward.add_noise(ms, noise, seed + 1000 * iw + jd)
             path = out / f"data_w{iw}_d{jd}.json"
@@ -379,8 +387,7 @@ def jacobian_dump(surface, medium, radius, omega, direction, kpoints, n_trunc, o
     lam, mu = _parse_medium(medium)
     med = modal.Medium(lam, mu, omega)
     sp = _parse_surface(surface)
-    d = np.array([float(x) for x in direction.split(",")])
-    wave = forward.IncidentWave("p", tuple(d / np.linalg.norm(d)))
+    wave = forward.IncidentWave("p", _parse_direction(direction, "--direction"))
     opts = forward.SolverOptions(residual_tol=5e-2)
     if n_trunc is not None:
         opts = forward.SolverOptions(n_trunc=n_trunc, quad_order=n_trunc + 4, residual_tol=5e-2)

@@ -20,6 +20,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -48,14 +49,14 @@ class IncidentWave:
         if self.kind not in ("p", "s"):
             raise ValueError(f"incident wave kind must be 'p' or 's', got {self.kind!r}")
         d = np.asarray(self.direction, dtype=float)
-        if abs(np.linalg.norm(d) - 1.0) > 1e-10:
+        if not abs(np.linalg.norm(d) - 1.0) <= 1e-10:  # NaN fails as well
             raise ValueError("incident direction must be a unit vector")
         object.__setattr__(self, "direction", tuple(float(x) for x in d))
         if self.kind == "s":
             if self.polarization is None:
                 raise ValueError("shear wave requires a polarization vector")
             p = np.asarray(self.polarization, dtype=float)
-            if abs(np.linalg.norm(p) - 1.0) > 1e-10 or abs(np.dot(p, d)) > 1e-10:
+            if not (abs(np.linalg.norm(p) - 1.0) <= 1e-10 and abs(np.dot(p, d)) <= 1e-10):
                 raise ValueError("shear polarization must be unit and orthogonal to the direction")
             object.__setattr__(self, "polarization", tuple(float(x) for x in p))
         elif self.polarization is not None:
@@ -111,9 +112,18 @@ class SolverOptions:
         return replace(self, n_trunc=n, quad_order=q)
 
 
-@dataclass(frozen=True)
-class BoundaryFactorization:
-    """Factorization of the equilibrated boundary least-squares matrix.
+@lru_cache(maxsize=1)
+def _measurement_matrix(kappa_p: float, kappa_s: float, radius: float, order: int, shape: tuple, data: bytes):
+    """Read-only basis matrix at the points packed in ``data``; see :meth:`BoundarySystem.measurement_matrix`."""
+    a = WaveBasis(kappa_p, kappa_s, radius, order, np.frombuffer(data).reshape(shape)).matrix()
+    a.setflags(write=False)
+    return a
+
+
+@dataclass(frozen=True, eq=False)
+class BoundarySystem:
+    """The factored boundary least-squares system of one surface sample,
+    medium and truncation.
 
     ``aw`` is the basis matrix with rows scaled by the square roots of the
     quadrature weights ``row_w``; ``aw * colscale`` is the equilibrated
@@ -122,11 +132,15 @@ class BoundaryFactorization:
     truncated SVD used for near-singular systems, ``qh = U_k^H`` and
     ``right = V_k S_k^-1`` over the ``rank`` singular values kept.
     ``condition`` is the 1-norm condition number of R, or the ratio of the
-    largest to the smallest kept singular value.  The matrix depends only
-    on the surface sample, medium and truncation, so one factorization
-    serves every right-hand side on that system.
+    largest to the smallest kept singular value.  Nothing here depends on
+    the Dirichlet data, so one system serves the forward field of every
+    incident wave and every domain-derivative column on that surface.
     """
 
+    sample: BoundarySample
+    basis: WaveBasis
+    med: Medium
+    options: SolverOptions
     qh: np.ndarray
     right: np.ndarray
     colscale: np.ndarray
@@ -140,6 +154,24 @@ class BoundaryFactorization:
         shape (rows,) or (rows, k); returns (ncols,) or (ncols, k)."""
         per_col = (-1,) + (1,) * (bw.ndim - 1)
         return (self.right @ (self.qh @ bw)) * self.colscale.reshape(per_col)
+
+    @cached_property
+    def normal_deriv_matrix(self) -> np.ndarray:
+        """Normal derivatives of every basis field on the sample, (3 npts, ncols)."""
+        return self.basis.deriv_along(self.sample.normals)
+
+    def measurement_matrix(self, points: np.ndarray) -> np.ndarray:
+        """Basis field values at exterior points, (3 npts, ncols), read-only.
+
+        The matrix depends only on the wavenumbers, reference radius,
+        truncation and points, so it is cached on those and outlives the
+        system.  The cache keeps one matrix: that serves a whole
+        continuation stage or ``synth`` frequency, and a larger one kept
+        earlier stages' matrices alive.
+        """
+        points = np.ascontiguousarray(np.atleast_2d(points), dtype=float)
+        b = self.basis
+        return _measurement_matrix(b.kappa_p, b.kappa_s, b.ref_radius, b.nmax, points.shape, points.tobytes())
 
 
 def _factor(a: np.ndarray, svd_cutoff: float) -> tuple[np.ndarray, np.ndarray, int, float]:
@@ -181,55 +213,73 @@ class ScatteredSolution:
     The expansion satisfies the Navier equation and the radiation
     conditions term by term; only the Dirichlet data is enforced
     approximately, with the reported residual measuring the misfit.
+    Solutions on the same surface, medium and truncation share one
+    ``system``.
     """
 
-    potentials: PotentialCoeffs
-    order: int
+    system: BoundarySystem
+    coeff_vector: np.ndarray
     residual_rms: float
     residual_rel: float
-    condition: float
-    rank: int
-    sample: BoundarySample
-    basis: WaveBasis
-    coeff_vector: np.ndarray
-    med: Medium
-    options: SolverOptions
-    factorization: BoundaryFactorization
+
+    @property
+    def sample(self) -> BoundarySample:
+        return self.system.sample
+
+    @property
+    def basis(self) -> WaveBasis:
+        return self.system.basis
+
+    @property
+    def order(self) -> int:
+        return self.system.options.n_trunc
+
+    @property
+    def rank(self) -> int:
+        return self.system.rank
+
+    @property
+    def condition(self) -> float:
+        return self.system.condition
+
+    @property
+    def potentials(self) -> PotentialCoeffs:
+        return PotentialCoeffs(self.order, self.basis.potentials_from_vector(self.coeff_vector))
 
     def solve_rhs(self, data_values: np.ndarray) -> np.ndarray:
-        """Coefficient vectors for extra right-hand sides on the same surface.
+        """Coefficient vectors for extra right-hand sides on the same system.
 
         ``data_values`` has shape (npts, 3) or (npts, 3, k); the returned
-        coefficients have shape (ncols,) or (ncols, k).  Reuses the stored
-        factorization (the system matrix depends only on geometry, medium
-        and truncation, not on the data).
+        coefficients have shape (ncols,) or (ncols, k).
         """
-        fac = self.factorization
-        c = fac.coefficients(data_values.reshape(data_values.shape[0] * 3, -1) * fac.row_w[:, None])
+        system = self.system
+        c = system.coefficients(data_values.reshape(data_values.shape[0] * 3, -1) * system.row_w[:, None])
         return c[:, 0] if data_values.ndim == 2 else c
 
     def resolve(self, dirichlet_data) -> "ScatteredSolution":
-        """Solution for other Dirichlet data on the same surface, medium and truncation.
+        """Solution for other Dirichlet data on the same system.
 
         ``dirichlet_data`` is an array aligned with the sample nodes (npts, 3)
-        or a callable mapping points to values.  The stored factorization is
-        reused; the new solution reports its own residual, and
-        :class:`SolverError` is raised when that residual exceeds the
-        options' ``residual_tol``.
+        or a callable mapping points to values.  The new solution reports
+        its own residual, and :class:`SolverError` is raised when that
+        residual exceeds the options' ``residual_tol``.
         """
-        data = _boundary_data(dirichlet_data, self.sample)
-        return _fit(self.factorization, data, self.sample, self.basis, self.med, self.options)
+        return _fit(self.system, _boundary_data(dirichlet_data, self.sample))
 
     def resolve_incident(self, w: IncidentWave) -> "ScatteredSolution":
         """Field scattered from another incident wave by the same rigid obstacle."""
-        return self.resolve(-incident_field(w, self.med, self.sample.points)[0])
+        return self.resolve(-incident_field(w, self.system.med, self.sample.points)[0])
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """Scattered displacement at arbitrary exterior points."""
-        basis = WaveBasis(
-            self.basis.kappa_p, self.basis.kappa_s, self.basis.ref_radius, self.order, points
-        )
-        return basis.evaluate(self.coeff_vector)
+        """Scattered displacement at arbitrary exterior points, shape (npts, 3)."""
+        return (self.system.measurement_matrix(points) @ self.coeff_vector).reshape(-1, 3)
+
+    def measure(self, w: IncidentWave, points: np.ndarray) -> "MeasurementSet":
+        """Total displacement u_inc + v of incident wave ``w`` at points on the
+        sphere of the basis reference radius."""
+        med = self.system.med
+        u = incident_field(w, med, points)[0] + self.evaluate(points)
+        return MeasurementSet(radius=self.basis.ref_radius, med=med, incident=w, points=points, u=u)
 
 
 def _boundary_data(dirichlet_data, sample: BoundarySample) -> np.ndarray:
@@ -240,43 +290,24 @@ def _boundary_data(dirichlet_data, sample: BoundarySample) -> np.ndarray:
     return data
 
 
-def _fit(
-    fac: BoundaryFactorization,
-    data: np.ndarray,
-    sample: BoundarySample,
-    basis: WaveBasis,
-    med: Medium,
-    opts: SolverOptions,
-) -> ScatteredSolution:
-    """Back-substitute boundary data through a factorization and check the residual."""
-    bw = data.reshape(-1) * fac.row_w
-    c = fac.coefficients(bw)
+def _fit(system: BoundarySystem, data: np.ndarray) -> ScatteredSolution:
+    """Back-substitute boundary data through a factored system and check the residual."""
+    sample = system.sample
+    bw = data.reshape(-1) * system.row_w
+    c = system.coefficients(bw)
 
     total_w = float(np.sum(sample.weights))
-    resid_norm = float(np.linalg.norm(fac.aw @ c - bw))
+    resid_norm = float(np.linalg.norm(system.aw @ c - bw))
     rms = resid_norm / math.sqrt(total_w)
     bnorm = float(np.linalg.norm(bw))
-    rel = resid_norm / bnorm if bnorm > 0 else 0.0
-    if bnorm > 0 and rel > opts.residual_tol:
+    rel = resid_norm / bnorm if bnorm != 0 else 0.0
+    tol = system.options.residual_tol
+    if not rel <= tol:  # written so that a NaN residual fails too
         raise SolverError(
-            f"boundary residual {rel:.3e} (relative) exceeds tolerance {opts.residual_tol:.1e} "
-            f"at truncation order {opts.n_trunc}"
+            f"boundary residual {rel:.3e} (relative) exceeds tolerance {tol:.1e} "
+            f"at truncation order {system.options.n_trunc}"
         )
-
-    return ScatteredSolution(
-        potentials=PotentialCoeffs(opts.n_trunc, basis.potentials_from_vector(c)),
-        order=opts.n_trunc,
-        residual_rms=rms,
-        residual_rel=rel,
-        condition=fac.condition,
-        rank=fac.rank,
-        sample=sample,
-        basis=basis,
-        coeff_vector=c,
-        med=med,
-        options=opts,
-        factorization=fac,
-    )
+    return ScatteredSolution(system, c, rms, rel)
 
 
 def solve_exterior_dirichlet(
@@ -285,7 +316,6 @@ def solve_exterior_dirichlet(
     med: Medium,
     radius: float,
     options: SolverOptions = SolverOptions(),
-    sample: BoundarySample | None = None,
 ) -> ScatteredSolution:
     """Fit an outgoing-wavefunction expansion to Dirichlet data on the surface.
 
@@ -294,13 +324,11 @@ def solve_exterior_dirichlet(
     a sphere centered at the origin the fit decouples into per-mode blocks
     and is exact up to truncation.  Further data on the same system is
     solved with :meth:`ScatteredSolution.resolve`, which reuses the
-    factorization made here.
+    :class:`BoundarySystem` factored here.
     """
     opts = options.resolve(med, radius)
-    if sample is None:
-        sample = sample_boundary(sp, opts.quad_order)
+    sample = sample_boundary(sp, opts.quad_order)
     data = _boundary_data(dirichlet_data, sample)
-
     basis = WaveBasis(med.kappa_p, med.kappa_s, radius, opts.n_trunc, sample.points)
     row_w = np.repeat(np.sqrt(sample.weights), 3)
     aw = basis.matrix() * row_w[:, None]
@@ -308,8 +336,8 @@ def solve_exterior_dirichlet(
     colnorm = np.linalg.norm(aw, axis=0)
     colscale = np.where(colnorm > 0, 1.0 / colnorm, 0.0)
     qh, right, rank, condition = _factor(aw * colscale[None, :], opts.svd_cutoff)
-    fac = BoundaryFactorization(qh, right, colscale, row_w, aw, rank, condition)
-    return _fit(fac, data, sample, basis, med, opts)
+    system = BoundarySystem(sample, basis, med, opts, qh, right, colscale, row_w, aw, rank, condition)
+    return _fit(system, data)
 
 
 def solve_rigid_scattering(
@@ -318,14 +346,9 @@ def solve_rigid_scattering(
     med: Medium,
     radius: float,
     options: SolverOptions = SolverOptions(),
-    sample: BoundarySample | None = None,
 ) -> ScatteredSolution:
     """Solve for the field scattered by a rigid obstacle: v = -u_inc on the surface."""
-    opts = options.resolve(med, radius)
-    if sample is None:
-        sample = sample_boundary(sp, opts.quad_order)
-    data = -incident_field(w, med, sample.points)[0]
-    return solve_exterior_dirichlet(sp, data, med, radius, opts, sample=sample)
+    return solve_exterior_dirichlet(sp, lambda pts: -incident_field(w, med, pts)[0], med, radius, options)
 
 
 # ---------------------------------------------------------------------------
@@ -416,23 +439,12 @@ def scattering_operator(
     radius: float,
     points: np.ndarray,
     options: SolverOptions = SolverOptions(),
-    solution: ScatteredSolution | None = None,
-    eval_matrix: np.ndarray | None = None,
 ) -> MeasurementSet:
     """Total displacement u = u_inc + v on the measurement points.
 
-    Pass a precomputed ``solution`` to reuse an existing forward solve, and
-    the basis matrix of the solution's order at ``points`` as
-    ``eval_matrix`` to reuse it across solutions.
+    A solution already in hand is measured by :meth:`ScatteredSolution.measure`.
     """
-    if solution is None:
-        solution = solve_rigid_scattering(sp, w, med, radius, options)
-    if eval_matrix is None:
-        scattered = solution.evaluate(points)
-    else:
-        scattered = (eval_matrix @ solution.coeff_vector).reshape(-1, 3)
-    u = incident_field(w, med, points)[0] + scattered
-    return MeasurementSet(radius=radius, med=med, incident=w, points=points, u=u)
+    return solve_rigid_scattering(sp, w, med, radius, options).measure(w, points)
 
 
 def add_noise(ms: MeasurementSet, delta: float, seed: int) -> MeasurementSet:

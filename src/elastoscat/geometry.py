@@ -62,6 +62,8 @@ class SurfaceParam:
             raise GeometryError(
                 f"coefficient vector must have length {coeff_length(order)}, got {coeffs.shape}"
             )
+        if not np.all(np.isfinite(coeffs)):
+            raise GeometryError("surface coefficients must be finite")
         self.order = int(order)
         self.coeffs = coeffs
 

@@ -75,6 +75,11 @@ def initial_guess(r0: float, order: int) -> SurfaceParam:
     return sphere_coeffs(r0, order)
 
 
+def _max_radius(surface: SurfaceParam) -> float:
+    """Largest distance of the surface from the origin, sampled at quadrature order 10."""
+    return float(np.linalg.norm(sample_boundary(surface, 10).points, axis=1).max())
+
+
 def stage_solver_options(
     med: Medium,
     radius: float,
@@ -89,18 +94,17 @@ def stage_solver_options(
     measurement sphere, which keeps the per-iteration least-squares solve
     small; the boundary residual is still reported on every solve.
     """
-    pts = sample_boundary(surface, 10).points
-    r_max = float(np.linalg.norm(pts, axis=1).max())
+    r_max = _max_radius(surface)
     n = max(stage_order + 2, int(math.ceil(1.5 * med.kappa_s * min(r_max, radius))) + 6)
     return SolverOptions(n_trunc=n, quad_order=n + 4, residual_tol=residual_tol)
 
 
 def _check_containment(surface: SurfaceParam, radius: float) -> None:
     try:
-        pts = sample_boundary(surface, 10).points
+        r_max = _max_radius(surface)
     except GeometryError as exc:
         raise ObjectiveError(f"surface iterate is degenerate: {exc}") from exc
-    if np.linalg.norm(pts, axis=1).max() >= radius:
+    if not r_max < radius:  # a NaN radius fails too
         raise ObjectiveError("surface iterate is not contained in the measurement ball")
 
 
@@ -113,7 +117,6 @@ def descent_stage(
     sweep_directions: bool = True,
     backtracking: bool = False,
     max_step_retries: int = 6,
-    eval_cache: dict | None = None,
 ) -> InversionState:
     """Run the fixed-step gradient iterations of one continuation stage.
 
@@ -135,15 +138,13 @@ def descent_stage(
     tau = schedule.tau(stage)
     if options is None:
         options = stage_solver_options(datasets[0].med, datasets[0].radius, k, state.surface)
-    if eval_cache is None:
-        eval_cache = {}
     groups = [[ds] for ds in datasets] if sweep_directions else [list(datasets)]
 
     for sweep, group in enumerate(groups):
         radius = min(ds.radius for ds in group)
         try:
             _check_containment(state.surface, radius)
-            f, g = objective_and_gradient(state.surface, group, options, eval_cache=eval_cache)
+            f, g = objective_and_gradient(state.surface, group, options)
         except ObjectiveError as exc:
             raise StageError(f"stage {stage}: starting point infeasible: {exc}", stage, state) from exc
         state.record(
@@ -156,7 +157,7 @@ def descent_stage(
                 trial.coeffs = trial.coeffs - tau_step * g
                 try:
                     _check_containment(trial, radius)
-                    f_new, g_new = objective_and_gradient(trial, group, options, eval_cache=eval_cache)
+                    f_new, g_new = objective_and_gradient(trial, group, options)
                 except ObjectiveError:
                     tau_step *= 0.5
                     continue
@@ -200,7 +201,6 @@ def continuation_run(
     datasets: list[MeasurementSet],
     schedule: FrequencySchedule | None = None,
     r0: float = 0.5,
-    initial_order: int | None = None,
     sweep_directions: bool = True,
     backtracking: bool = False,
     solver_options: SolverOptions | None = None,
@@ -220,15 +220,13 @@ def continuation_run(
         omegas = tuple(sorted({ds.med.omega for ds in datasets}))
         schedule = FrequencySchedule(omegas)
     groups = group_by_frequency(datasets, schedule)
-    k0 = schedule.order(0) if initial_order is None else initial_order
-    state = InversionState(surface=initial_guess(r0, max(k0, 1)))
+    state = InversionState(surface=initial_guess(r0, max(schedule.order(0), 1)))
     for i in range(schedule.stages):
         opts = solver_options
         if opts is None:
             opts = stage_solver_options(
                 groups[i][0].med, groups[i][0].radius, schedule.order(i), state.surface, residual_tol
             )
-        eval_cache: dict = {}
         state = descent_stage(
             state,
             schedule,
@@ -237,7 +235,6 @@ def continuation_run(
             options=opts,
             sweep_directions=sweep_directions,
             backtracking=backtracking,
-            eval_cache=eval_cache,
         )
         state.snapshots.append(state.surface.copy())
     return state

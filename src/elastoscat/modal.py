@@ -2,8 +2,9 @@
 
 Per-mode maps between displacement trace coefficients in the vector
 spherical-harmonic basis (T, V, W) and potential trace coefficients
-(phi, psi_2, psi_3), the Dirichlet-to-Neumann blocks G_n and M_n, the
-transparent boundary operators, and evaluation of radiating fields.
+(phi, psi_2, psi_3), the Dirichlet-to-Neumann blocks G_n and M_n, and the
+transparent boundary operators.  Radiating fields are evaluated by
+:class:`~elastoscat.wavefields.WaveBasis`.
 
 Matrix layout note
 ------------------
@@ -30,7 +31,6 @@ import numpy as np
 
 from . import specfun
 from .specfun import DomainError, flatten_index
-from .wavefields import WaveBasis
 
 _VTW_PERM = np.array([1, 0, 2])  # natural (T,V,W) -> stored (V,T,W); self-inverse
 
@@ -351,58 +351,3 @@ def apply_T2(tangential: np.ndarray, med: Medium, radius: float) -> np.ndarray:
     out[:, 1] *= v_scale
     out[0] = 0.0  # no tangential content at n = 0
     return out
-
-
-# ---------------------------------------------------------------------------
-# Field evaluation
-# ---------------------------------------------------------------------------
-
-
-def eval_radiating_field(
-    p: PotentialCoeffs,
-    med: Medium,
-    radius: float,
-    points: np.ndarray,
-    gradient: bool = False,
-    min_radius: float | None = None,
-):
-    """Evaluate the radiating displacement field of the given potentials.
-
-    Parameters
-    ----------
-    points : (npts, 3) Cartesian points.
-    gradient : also return the Cartesian Jacobians, shape (npts, 3, 3).
-    min_radius : flag evaluation closer to the origin than this radius,
-        where the origin-centered expansion may no longer converge.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    r = np.sqrt(np.sum(points**2, axis=1))
-    if min_radius is not None and np.any(r < min_radius):
-        raise DomainError(
-            f"evaluation at r = {r.min():.3g} is inside the declared validity radius {min_radius:.3g}"
-        )
-    basis = WaveBasis(med.kappa_p, med.kappa_s, radius, p.order, points)
-    vec = basis.vector_from_potentials(p.data)
-    values = basis.evaluate(vec)
-    if not gradient:
-        return values
-    return values, basis.gradient(vec)
-
-
-def eval_scalar_potential(p: PotentialCoeffs, med: Medium, radius: float, points: np.ndarray):
-    """Scalar potential phi(x) and its radial derivative of the radiating field."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    r, theta, phi_ang = specfun.cart_to_sph(points)
-    y, _, _ = specfun.sph_harmonic_tables(p.order, theta, phi_ang)
-    t = med.kappa_p * r
-    h = specfun.spherical_h1_table(p.order, t)
-    hp = specfun.spherical_h1_deriv_table(h, t)
-    href = specfun.spherical_h1_table(p.order, np.array([med.kappa_p * radius]))[:, 0]
-    val = np.zeros(points.shape[0], dtype=complex)
-    dval = np.zeros_like(val)
-    for n in range(p.order + 1):
-        sl = slice(n * n, (n + 1) ** 2)
-        ymodes = y[:, sl] @ p.data[sl, 0]
-        val += h[n] / href[n] * ymodes / radius
-        dval += med.kappa_p * hp[n] / href[n] * ymodes / radius
-    return val, dval

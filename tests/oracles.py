@@ -7,8 +7,9 @@ quadrature expansion of the boundary data, derivatives from central
 differences, the perturbations q_i from one scalar harmonic per point
 instead of the table path, and the wave basis from one (n, m) mode at a
 time instead of one degree at a time.  The single-harmonic, vector-harmonic
-and quadrature-expansion helpers read the production harmonic tables; the
-tests check them by closed forms and orthonormality.
+and quadrature-expansion helpers read the production harmonic tables, and
+the radiating-field evaluators read the production wave basis; the tests
+check them by closed forms, orthonormality and the modal maps.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import mpmath as mp
 import numpy as np
 
 from elastoscat import geometry as geo, specfun as sf
+from elastoscat.wavefields import WaveBasis
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +240,55 @@ def sphere_block_solve(a, med, radius, order, boundary_data_fn, quad_order=None)
             pot[col, 0], pot[col, 1] = sol
             pot[col, 2] = cu[col, 1] / (ks**2 * radius * f_s / s / radius)
     return pot
+
+
+# ---------------------------------------------------------------------------
+# Radiating fields of potential coefficients
+# ---------------------------------------------------------------------------
+
+
+def eval_radiating_field(p, med, radius: float, points: np.ndarray, gradient: bool = False, min_radius=None):
+    """Evaluate the radiating displacement field of the given potentials on
+    the production wave basis.
+
+    Parameters
+    ----------
+    points : (npts, 3) Cartesian points.
+    gradient : also return the Cartesian Jacobians, shape (npts, 3, 3).
+    min_radius : flag evaluation closer to the origin than this radius,
+        where the origin-centered expansion may no longer converge.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    r = np.sqrt(np.sum(points**2, axis=1))
+    if min_radius is not None and np.any(r < min_radius):
+        raise sf.DomainError(
+            f"evaluation at r = {r.min():.3g} is inside the declared validity radius {min_radius:.3g}"
+        )
+    basis = WaveBasis(med.kappa_p, med.kappa_s, radius, p.order, points)
+    vec = basis.vector_from_potentials(p.data)
+    values = basis.evaluate(vec)
+    if not gradient:
+        return values
+    return values, basis.gradient(vec)
+
+
+def eval_scalar_potential(p, med, radius: float, points: np.ndarray):
+    """Scalar potential phi(x) and its radial derivative of the radiating field."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    r, theta, phi_ang = sf.cart_to_sph(points)
+    y, _, _ = sf.sph_harmonic_tables(p.order, theta, phi_ang)
+    t = med.kappa_p * r
+    h = sf.spherical_h1_table(p.order, t)
+    hp = sf.spherical_h1_deriv_table(h, t)
+    href = sf.spherical_h1_table(p.order, np.array([med.kappa_p * radius]))[:, 0]
+    val = np.zeros(points.shape[0], dtype=complex)
+    dval = np.zeros_like(val)
+    for n in range(p.order + 1):
+        sl = slice(n * n, (n + 1) ** 2)
+        ymodes = y[:, sl] @ p.data[sl, 0]
+        val += h[n] / href[n] * ymodes / radius
+        dval += med.kappa_p * hp[n] / href[n] * ymodes / radius
+    return val, dval
 
 
 # ---------------------------------------------------------------------------

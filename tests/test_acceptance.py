@@ -176,7 +176,7 @@ def test_criterion_6_fd_checks(mild_ellipsoid_problem):
     pts = fw.fibonacci_sphere(50, R)
     sol = fw.solve_rigid_scattering(ell, PW, med, R, opts)
     jac = dv.shape_jacobian(ell, sol, PW, med, R, pts)
-    f0 = fw.scattering_operator(ell, PW, med, R, pts, opts, solution=sol).u
+    f0 = sol.measure(PW, pts).u
 
     live = [i for i in range(1, 25) if np.linalg.norm(jac.column(i)) > 0]
     picks = rng.choice(live, size=10, replace=False)

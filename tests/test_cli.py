@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -43,6 +44,31 @@ def test_directions_reject_zero_vectors(tmp_path):
             _parse_directions(str(dirfile))
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["synth", "--surface", "sphere:0.6", "--freqs", "1:x:1"],
+        ["synth", "--surface", "sphere:0.6", "--freqs", "0"],
+        ["synth", "--surface", "sphere:0.6", "--freqs", "1:inf:1"],
+        ["synth", "--surface", "ellipsoid:1,2"],
+        ["synth", "--surface", "sphere:abc"],
+        ["synth", "--surface", "NAN_SURFACE"],
+        ["jacobian-dump", "--surface", "sphere:0.6", "--direction", "0,0,0"],
+        ["jacobian-dump", "--surface", "sphere:0.6", "--direction", "1,2"],
+    ],
+)
+def test_bad_inputs_are_usage_errors(runner, tmp_path, args):
+    nan_surface = tmp_path / "nan_surface.json"
+    c = geo.sphere_coeffs(0.6, 1).coeffs.tolist()
+    nan_surface.write_text(json.dumps({"schema": 1, "N": 1, "C": [math.nan] + c[1:]}))
+    args = [str(nan_surface) if a == "NAN_SURFACE" else a for a in args]
+    out = tmp_path / "out"
+    res = runner.invoke(main, [*args, "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "Invalid value" in res.output
+    assert not out.exists()
+
+
 def test_synth_cube_faces_matches_per_direction_solves(runner, tmp_path):
     # synth factors once per frequency; its files must equal independent solves
     res = runner.invoke(
@@ -69,7 +95,7 @@ def test_synth_cube_faces_matches_per_direction_solves(runner, tmp_path):
         for jd, d in enumerate(_parse_directions("preset:cube-faces")):
             wave = fw.IncidentWave("p", d)
             sol = fw.solve_rigid_scattering(sp, wave, med, 1.0, opts)
-            ms = fw.scattering_operator(sp, wave, med, 1.0, points, opts, solution=sol)
+            ms = sol.measure(wave, points)
             name = f"data_w{iw}_d{jd}.json"
             fw.add_noise(ms, 0.05, 7 + 1000 * iw + jd).save(tmp_path / name)
             assert (tmp_path / name).read_bytes() == (tmp_path / "synth" / name).read_bytes()

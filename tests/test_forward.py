@@ -3,9 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from elastoscat import forward as fw, geometry as geo, modal, specfun as sf
+from elastoscat import derivative as dv, forward as fw, geometry as geo, modal, specfun as sf
+from elastoscat.wavefields import WaveBasis
 
-from oracles import navier_residual_fd, sphere_block_solve, vsh_expand, z_log_derivative
+from oracles import (
+    eval_radiating_field,
+    eval_scalar_potential,
+    navier_residual_fd,
+    sphere_block_solve,
+    vsh_expand,
+    z_log_derivative,
+)
 
 R = 1.0
 
@@ -30,6 +38,14 @@ def test_incident_validation():
     with pytest.raises(ValueError):
         fw.IncidentWave("x", (0.0, 1.0, 0.0))
     fw.IncidentWave("s", (0.0, 1.0, 0.0), (1.0, 0.0, 0.0))
+
+
+def test_incident_rejects_nan_vectors():
+    nan = math.nan
+    with pytest.raises(ValueError):
+        fw.IncidentWave("p", (nan, nan, nan))
+    with pytest.raises(ValueError):
+        fw.IncidentWave("s", (0.0, 1.0, 0.0), (nan, 0.0, 0.0))
 
 
 def test_incident_phase_and_modulus(pwave, med_std, rng):
@@ -109,7 +125,7 @@ def test_manufactured_solution_recovery(med_std, rng):
     opts = fw.SolverOptions(n_trunc=9, quad_order=13, residual_tol=1e-6)
 
     def data(pts):
-        return modal.eval_radiating_field(truth, med_std, R, pts)
+        return eval_radiating_field(truth, med_std, R, pts)
 
     sol = fw.solve_exterior_dirichlet(sp, data, med_std, R, opts)
     rec = sol.potentials.data[: truth.data.shape[0]]
@@ -152,7 +168,7 @@ def test_resolve_equals_fresh_solve(med_std, pwave):
         assert again.residual_rms == fresh.residual_rms
         assert again.rank == fresh.rank
         assert again.condition == fresh.condition
-        assert again.factorization is base.factorization
+        assert again.system is base.system
 
 
 def test_factorization_paths_agree(med_std, pwave):
@@ -167,8 +183,8 @@ def test_factorization_paths_agree(med_std, pwave):
     assert qr.rank == svd.rank == ncols
     assert ncols * qr.condition * 1e-4 >= 1 and svd.condition < 1e4
     # R^-1 is upper triangular; V_k S_k^-1 is not
-    assert np.all(np.tril(qr.factorization.right, -1) == 0)
-    assert not np.all(np.tril(svd.factorization.right, -1) == 0)
+    assert np.all(np.tril(qr.system.right, -1) == 0)
+    assert not np.all(np.tril(svd.system.right, -1) == 0)
     np.testing.assert_allclose(svd.coeff_vector, qr.coeff_vector, rtol=0, atol=1e-12 * np.abs(qr.coeff_vector).max())
     w = fw.IncidentWave("s", (0.0, 0.0, -1.0), (1.0, 0.0, 0.0))
     again = svd.resolve_incident(w)
@@ -187,7 +203,7 @@ def test_underdetermined_system_takes_svd_path(med_std, pwave):
     )
     assert (3 * sol.sample.npts, sol.basis.ncols) == (96, 241)
     assert sol.rank == 96
-    assert sol.factorization.qh.shape == (96, 96)
+    assert sol.system.qh.shape == (96, 96)
 
 
 def test_singular_system_takes_truncated_svd(rng):
@@ -215,6 +231,60 @@ def test_resolve_checks_its_own_residual(med_std, pwave, rng):
         base.resolve(noise[:-1])
 
 
+def test_nan_dirichlet_data_raises(med_std, pwave):
+    # a NaN residual must not pass the residual check
+    ell = geo.ellipsoid_coeffs(0.7, 0.75, 0.8, 1)
+    opts = fw.SolverOptions(n_trunc=6, quad_order=10, residual_tol=1e-2)
+    base = fw.solve_rigid_scattering(ell, pwave, med_std, R, opts)
+    data = np.zeros((base.sample.npts, 3))
+    data[0, 1] = math.nan
+    with pytest.raises(fw.SolverError):
+        fw.solve_exterior_dirichlet(ell, data, med_std, R, opts)
+    with pytest.raises(fw.SolverError):
+        base.resolve(data)
+
+
+def test_measurement_matrix_cache_keys(med_std, pwave, rng):
+    # permuted points, another truncation and another medium each get their
+    # own read-only matrix, bitwise equal to a fresh build
+    ell = geo.ellipsoid_coeffs(0.7, 0.75, 0.8, 1)
+    pts = fw.fibonacci_sphere(30, R)
+    perm = rng.permutation(30)
+    med2 = modal.Medium(med_std.lam, med_std.mu, 1.5)
+    cases = [(6, med_std, pts), (6, med_std, pts[perm]), (7, med_std, pts), (6, med2, pts)]
+    seen = []
+    for n, med, p in cases:
+        sol = fw.solve_rigid_scattering(ell, pwave, med, R, fw.SolverOptions(n_trunc=n, quad_order=n + 4, residual_tol=1.0))
+        a = sol.system.measurement_matrix(p)
+        assert sol.system.measurement_matrix(p.copy()) is a
+        fresh = WaveBasis(med.kappa_p, med.kappa_s, R, n, p).matrix()
+        np.testing.assert_array_equal(a.view(np.uint64), fresh.view(np.uint64))
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 0.0
+        assert all(a is not b for b in seen)
+        seen.append(a)
+
+
+def test_resolve_incident_siblings_share_one_system(med_std, pwave, monkeypatch):
+    calls = []
+    deriv_along = WaveBasis.deriv_along
+
+    def counted(self, directions):
+        calls.append(1)
+        return deriv_along(self, directions)
+
+    monkeypatch.setattr(WaveBasis, "deriv_along", counted)
+    ell = geo.ellipsoid_coeffs(0.7, 0.75, 0.8, 1)
+    base = fw.solve_rigid_scattering(ell, pwave, med_std, R, fw.SolverOptions(n_trunc=6, quad_order=10, residual_tol=1e-1))
+    waves = [fw.IncidentWave("p", (1.0, 0.0, 0.0)), fw.IncidentWave("s", (0.0, 0.0, -1.0), (1.0, 0.0, 0.0))]
+    siblings = [base.resolve_incident(w) for w in waves]
+    assert all(s.system is base.system for s in siblings)
+    for sol, w in zip([base, *siblings], [pwave, *waves]):
+        dv.normal_derivative_total_field(sol, w, med_std)
+    assert len(calls) == 1
+
+
 def test_solution_radiation_condition(med_std, pwave, rng):
     # the Sommerfeld defect d_r phi - i kp phi decays like 1/r^2: its
     # r-weighted form falls like 1/r and its plain magnitude at 50 R is far
@@ -224,7 +294,7 @@ def test_solution_radiation_condition(med_std, pwave, rng):
     weighted = {}
     for r_far in (10.0 * R, 50.0 * R):
         pts_far = sf.sph_to_cart(np.full(10, r_far), rng.uniform(0.3, 2.8, 10), rng.uniform(0, 6.28, 10))
-        phi, dphi = modal.eval_scalar_potential(sol.potentials, med_std, R, pts_far)
+        phi, dphi = eval_scalar_potential(sol.potentials, med_std, R, pts_far)
         weighted[r_far] = np.abs(r_far * (dphi - 1j * kp * phi)).max()
     assert weighted[50.0 * R] < weighted[10.0 * R] / 3.5
     pts_near = sf.sph_to_cart(np.full(10, R), rng.uniform(0.3, 2.8, 10), rng.uniform(0, 6.28, 10))
@@ -269,7 +339,7 @@ def test_sphere_scattering_matches_block_series(med_std, pwave):
     a = 0.75
     sol_pot = sphere_block_solve(a, med_std, R, 16, lambda pts: -fw.incident_field(pwave, med_std, pts)[0])
     pts = fw.fibonacci_sphere(25, R)
-    v_oracle = modal.eval_radiating_field(modal.PotentialCoeffs(16, sol_pot), med_std, R, pts)
+    v_oracle = eval_radiating_field(modal.PotentialCoeffs(16, sol_pot), med_std, R, pts)
     u_oracle = fw.incident_field(pwave, med_std, pts)[0] + v_oracle
     ms = fw.scattering_operator(geo.sphere_coeffs(a, 1), pwave, med_std, R, pts)
     assert np.abs(ms.u - u_oracle).max() < 1e-8 * np.abs(u_oracle).max()

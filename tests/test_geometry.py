@@ -93,6 +93,17 @@ def test_degenerate_surface_raises():
         geo.sample_boundary(big, 12)
 
 
+def test_surface_rejects_nonfinite_coefficients():
+    coeffs = geo.sphere_coeffs(0.5, 1).coeffs
+    for bad in (math.nan, math.inf):
+        c = coeffs.copy()
+        c[3] = bad
+        with pytest.raises(geo.GeometryError):
+            geo.SurfaceParam(1, c)
+        with pytest.raises(geo.GeometryError):
+            geo.SurfaceParam.from_json_dict({"schema": 1, "N": 1, "C": c.tolist()})
+
+
 def test_bean_like_surface_samples_on_32x64_grid():
     # smooth star-shaped surface with one concave dent (desk-scale stand-in
     # for a bean shape; a literal sqrt-based parametrization would not be

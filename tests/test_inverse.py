@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from elastoscat import forward as fw, geometry as geo, inverse as inv, modal
+from elastoscat.derivative import ObjectiveError
 
 R = 1.0
 PW = fw.IncidentWave("p", (0.0, 1.0, 0.0))
@@ -126,6 +127,15 @@ def test_stage_failure_keeps_partial_history(sphere_dataset):
     with pytest.raises(inv.StageError) as err:
         inv.descent_stage(state, sched, 0, [sphere_dataset], options=impossible)
     assert isinstance(err.value.state, inv.InversionState)
+
+
+def test_containment_rejects_nan_surface():
+    # a descent step writes the coefficient vector directly; NaN entries sample
+    # to NaN points, whose radius must not pass the containment check
+    trial = inv.initial_guess(0.5, 1)
+    trial.coeffs = trial.coeffs - np.nan
+    with pytest.raises(ObjectiveError):
+        inv._check_containment(trial, 1.0)
 
 
 def test_backtracking_rejects_increases(sphere_dataset):

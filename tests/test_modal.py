@@ -5,7 +5,14 @@ import pytest
 
 from elastoscat import modal, specfun as sf
 
-from oracles import fd_curl, vector_harmonics, vsh_expand, z_log_derivative
+from oracles import (
+    eval_radiating_field,
+    eval_scalar_potential,
+    fd_curl,
+    vector_harmonics,
+    vsh_expand,
+    z_log_derivative,
+)
 
 R = 1.0
 
@@ -150,7 +157,7 @@ def test_traction_matches_pointwise_boundary_operator(med_std, rng):
     p = modal.random_potentials(order, rng, decay=0.7)
     quad = sf.sphere_quadrature(order + 2)
     pts = sf.sph_to_cart(R, quad.theta, quad.phi)
-    vals, grads = modal.eval_radiating_field(p, med_std, R, pts, gradient=True)
+    vals, grads = eval_radiating_field(p, med_std, R, pts, gradient=True)
     e_r = sf.spherical_frame(quad.theta, quad.phi)[0]
     d_r = np.einsum("pil,pl->pi", grads, e_r)
     div = np.trace(grads, axis1=1, axis2=2)
@@ -326,7 +333,7 @@ def test_T2_tangential_trace_identity_vs_fd_curl(med_std):
 def test_eval_zero_potentials(med_std):
     p = modal.PotentialCoeffs(3)
     pts = sf.sph_to_cart(np.array([1.0, 1.3]), np.array([0.4, 2.0]), np.array([0.0, 3.0]))
-    assert np.all(modal.eval_radiating_field(p, med_std, R, pts) == 0)
+    assert np.all(eval_radiating_field(p, med_std, R, pts) == 0)
 
 
 def test_eval_single_monopole_mode(med_std):
@@ -334,7 +341,7 @@ def test_eval_single_monopole_mode(med_std):
     p.set_block(0, 0, (1.0, 0.0, 0.0))
     r_values = np.array([1.0, 1.5, 2.5])
     pts = sf.sph_to_cart(r_values, np.full(3, 1.1), np.full(3, 0.7))
-    v = modal.eval_radiating_field(p, med_std, R, pts)
+    v = eval_radiating_field(p, med_std, R, pts)
     kp = med_std.kappa_p
     e_r = sf.spherical_frame(np.full(3, 1.1), np.full(3, 0.7))[0]
     h_r = sf.spherical_h1_table(0, kp * r_values)
@@ -354,7 +361,7 @@ def test_sommerfeld_decay(med_std, rng):
     vals = []
     for r in (10.0, 50.0):
         pts = sf.sph_to_cart(np.full(8, r), rng.uniform(0.3, 2.8, 8), rng.uniform(0, 6.28, 8))
-        phi, dphi = modal.eval_scalar_potential(p, med_std, R, pts)
+        phi, dphi = eval_scalar_potential(p, med_std, R, pts)
         vals.append(np.abs(r * (dphi - 1j * kp * phi)).max())
     assert vals[1] < vals[0] / 3.5  # ~1/r between r=10 and r=50
 
@@ -365,11 +372,11 @@ def test_eval_radial_derivative_vs_fd(med_std, rng):
     ph = rng.uniform(0, 6.28, 6)
     pts = sf.sph_to_cart(np.full(6, 1.1), th, ph)
     e_r = sf.spherical_frame(th, ph)[0]
-    vals, grads = modal.eval_radiating_field(p, med_std, R, pts, gradient=True)
+    vals, grads = eval_radiating_field(p, med_std, R, pts, gradient=True)
     d_analytic = np.einsum("pil,pl->pi", grads, e_r)
     h = 1e-6 * R
-    vp = modal.eval_radiating_field(p, med_std, R, sf.sph_to_cart(np.full(6, 1.1 + h), th, ph))
-    vm = modal.eval_radiating_field(p, med_std, R, sf.sph_to_cart(np.full(6, 1.1 - h), th, ph))
+    vp = eval_radiating_field(p, med_std, R, sf.sph_to_cart(np.full(6, 1.1 + h), th, ph))
+    vm = eval_radiating_field(p, med_std, R, sf.sph_to_cart(np.full(6, 1.1 - h), th, ph))
     fd = (vp - vm) / (2 * h)
     assert np.abs(fd - d_analytic).max() < 1e-5 * np.abs(d_analytic).max()
 
@@ -379,7 +386,7 @@ def test_eval_min_radius_flag(med_std):
     p.set_block(0, 0, (1.0, 0.0, 0.0))
     pts = np.array([[0.2, 0.0, 0.0]])
     with pytest.raises(sf.DomainError):
-        modal.eval_radiating_field(p, med_std, R, pts, min_radius=0.5)
+        eval_radiating_field(p, med_std, R, pts, min_radius=0.5)
 
 
 # ---------------------------------------------------------------------------
