@@ -393,7 +393,7 @@ def jacobian_dump(surface, medium, radius, omega, direction, kpoints, n_trunc, o
         opts = forward.SolverOptions(n_trunc=n_trunc, quad_order=n_trunc + 4, residual_tol=5e-2)
     sol = forward.solve_rigid_scattering(sp, wave, med, radius, opts)
     points = forward.fibonacci_sphere(kpoints, radius)
-    jac = derivative.shape_jacobian(sp, sol, wave, med, radius, points)
+    jac = derivative.shape_jacobian(sp, sol, wave, points)
     rows = []
     kk, ncoef = jac.matrix.shape[0] // 3, jac.matrix.shape[1]
     for i in range(1, ncoef + 1):

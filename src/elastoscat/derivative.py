@@ -6,7 +6,9 @@ u'_i that solves the same exterior problem with Dirichlet data
 transparent boundary condition on the measurement sphere is automatic for
 the outgoing basis.  All coefficient columns share the forward solve's
 :class:`~elastoscat.forward.BoundarySystem` (the system matrix depends only
-on geometry, medium and truncation), which is the dominant cost lever.
+on geometry, medium and truncation), which is the dominant cost lever,
+and only the 3 (N+1)^2 columns that are not +-m copies of one another are
+solved.
 """
 
 from __future__ import annotations
@@ -24,8 +26,7 @@ from .forward import (
     incident_field,
     solve_rigid_scattering,
 )
-from .geometry import GeometryError, SurfaceParam, coeff_length, perturbation_q_table
-from .modal import Medium
+from .geometry import GeometryError, SurfaceParam, coeff_length, distinct_coeff_map, perturbation_q_table
 from .specfun import DomainError
 
 
@@ -33,15 +34,15 @@ class ObjectiveError(RuntimeError):
     """Objective evaluation failed (infeasible surface or solver failure)."""
 
 
-def normal_derivative_total_field(sol: ScatteredSolution, w: IncidentWave, med: Medium) -> np.ndarray:
+def normal_derivative_total_field(sol: ScatteredSolution, w: IncidentWave) -> np.ndarray:
     """(nu . grad) of the total field on the boundary sample of a solve.
 
     The gradient of the scattered part is analytic (differentiated basis
     fields, computed once per boundary system); the incident part is a
-    plane wave.
+    plane wave in the solution's medium.
     """
     sample = sol.sample
-    grad_inc = incident_field(w, med, sample.points)[1]
+    grad_inc = incident_field(w, sol.system.med, sample.points)[1]
     dv = (sol.system.normal_deriv_matrix @ sol.coeff_vector).reshape(-1, 3)
     du_inc = np.einsum("pil,pl->pi", grad_inc, sample.normals)
     return du_inc + dv
@@ -53,8 +54,9 @@ class ShapeJacobian:
 
     ``matrix`` has shape (3K, ncoeffs); column i stacked as
     (x_0 components, x_1 components, ...).  A column is identically zero
-    whenever its perturbation q_i vanishes on the surface (for example all
-    Im Y_n^0 coefficients).
+    whenever its perturbation q_i vanishes on the surface (all Im Y_n^0
+    coefficients), and each (n, -m) column is exactly +-1 times its (n, m)
+    column (:func:`~elastoscat.geometry.distinct_coeff_map`).
     """
 
     matrix: np.ndarray
@@ -67,20 +69,21 @@ class ShapeJacobian:
         return self.matrix[:, i - 1].reshape(-1, 3)
 
 
-def shape_jacobian(
-    sp: SurfaceParam,
-    sol: ScatteredSolution,
-    w: IncidentWave,
-    med: Medium,
-    radius: float,
-    points: np.ndarray,
-) -> ShapeJacobian:
-    """All domain-derivative columns at the given measurement points."""
-    dnu = normal_derivative_total_field(sol, w, med)
-    q = perturbation_q_table(sp, sol.sample)  # (ncoeffs, npts)
-    rhs = -(q[:, :, None] * dnu[None, :, :]).transpose(1, 2, 0)  # (npts, 3, ncoeffs)
-    coeffs = sol.solve_rhs(rhs)
-    return ShapeJacobian(matrix=sol.system.measurement_matrix(points) @ coeffs, order=sp.order)
+def shape_jacobian(sp: SurfaceParam, sol: ScatteredSolution, w: IncidentWave, points: np.ndarray) -> ShapeJacobian:
+    """All domain-derivative columns at the given measurement points.
+
+    Only the 3 (N+1)^2 distinct columns are solved; the others are copied
+    from them by sign or are zero.
+    """
+    distinct, source, sign = distinct_coeff_map(sp.order)
+    dnu = normal_derivative_total_field(sol, w)
+    q = perturbation_q_table(sp, sol.sample)[distinct]  # (ndistinct, npts)
+    rhs = -(q[:, :, None] * dnu[None, :, :]).transpose(1, 2, 0)  # (npts, 3, ndistinct)
+    solved = sol.system.measurement_matrix(points) @ sol.solve_rhs(rhs)
+    matrix = np.zeros((solved.shape[0], sign.shape[0]), dtype=solved.dtype)
+    matrix[:, sign > 0] = solved[:, source[sign > 0]]
+    matrix[:, sign < 0] = -solved[:, source[sign < 0]]
+    return ShapeJacobian(matrix=matrix, order=sp.order)
 
 
 def objective_and_gradient(
@@ -117,7 +120,7 @@ def objective_and_gradient(
         r = (sol.measure(ds.incident, ds.points).u - ds.u).reshape(-1)
         f += 0.5 * float(np.real(np.vdot(r, r)))
         if with_gradient:
-            jac = shape_jacobian(sp, sol, ds.incident, ds.med, ds.radius, ds.points)
+            jac = shape_jacobian(sp, sol, ds.incident, ds.points)
             grad += np.real(jac.matrix.conj().T @ r)
     if not np.isfinite(f):
         raise ObjectiveError("objective is not finite")

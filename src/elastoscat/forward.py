@@ -9,9 +9,13 @@ boundary residual is always reported so failures are visible).
 
 The least-squares system is column-norm equilibrated (Hankel growth across
 orders makes the raw columns badly scaled) and factored by a Householder
-QR.  Only a system whose condition estimate says a truncated SVD could drop
-a singular value (or one with fewer rows than columns) is factored by that
-truncated SVD instead.
+QR that forms R only, never Q.  Right-hand sides are solved by corrected
+semi-normal equations (CSNE: y = R^-1 R^-H A^H b) followed by exactly one
+refinement step with the residual b - A y, which brings the accuracy back
+to that of a QR solve (A. Bjorck, Linear Algebra Appl. 88/89 (1987)
+31-48).  Only a system whose condition estimate says a truncated SVD could
+drop a singular value (or one with fewer rows than columns) is factored by
+that truncated SVD instead, which keeps its U_k^H.
 """
 
 from __future__ import annotations
@@ -127,10 +131,12 @@ class BoundarySystem:
 
     ``aw`` is the basis matrix with rows scaled by the square roots of the
     quadrature weights ``row_w``; ``aw * colscale`` is the equilibrated
-    matrix A.  Its least-squares solution operator is ``right @ qh``: from
-    the QR factorization A = Q R, ``qh = Q^H`` and ``right = R^-1``; from the
-    truncated SVD used for near-singular systems, ``qh = U_k^H`` and
-    ``right = V_k S_k^-1`` over the ``rank`` singular values kept.
+    matrix A.  From the R-only QR factorization A = Q R, ``right = R^-1``
+    and ``qh`` is None: no Q is formed, and every right-hand side is solved
+    by corrected semi-normal equations with one refinement step against
+    ``aw``.  From the truncated SVD used for near-singular systems,
+    ``qh = U_k^H`` and ``right = V_k S_k^-1`` over the ``rank`` singular
+    values kept, and the solution operator is ``right @ qh``.
     ``condition`` is the 1-norm condition number of R, or the ratio of the
     largest to the smallest kept singular value.  Nothing here depends on
     the Dirichlet data, so one system serves the forward field of every
@@ -141,7 +147,7 @@ class BoundarySystem:
     basis: WaveBasis
     med: Medium
     options: SolverOptions
-    qh: np.ndarray
+    qh: np.ndarray | None
     right: np.ndarray
     colscale: np.ndarray
     row_w: np.ndarray
@@ -152,8 +158,22 @@ class BoundarySystem:
     def coefficients(self, bw: np.ndarray) -> np.ndarray:
         """Least-squares coefficients for weighted right-hand sides ``bw`` of
         shape (rows,) or (rows, k); returns (ncols,) or (ncols, k)."""
-        per_col = (-1,) + (1,) * (bw.ndim - 1)
-        return (self.right @ (self.qh @ bw)) * self.colscale.reshape(per_col)
+        colscale = self.colscale.reshape((-1,) + (1,) * (bw.ndim - 1))
+        if self.qh is not None:
+            return (self.right @ (self.qh @ bw)) * colscale
+        c = self._seminormal(bw, colscale)
+        c += self._seminormal(bw - self.aw @ c, colscale)  # the one refinement step
+        return c
+
+    def _seminormal(self, bw: np.ndarray, colscale: np.ndarray) -> np.ndarray:
+        """colscale * R^-1 R^-H A^H bw: the semi-normal solution in unscaled coefficients."""
+        atb = np.conjugate(self.aw.T @ np.conjugate(bw)) * colscale  # A^H bw without a copy of aw^H
+        return (self.right @ (self._right_h @ atb)) * colscale
+
+    @cached_property
+    def _right_h(self) -> np.ndarray:
+        """R^-H, contiguous, formed once per system."""
+        return np.conjugate(self.right.T, order="C")
 
     @cached_property
     def normal_deriv_matrix(self) -> np.ndarray:
@@ -174,26 +194,49 @@ class BoundarySystem:
         return _measurement_matrix(b.kappa_p, b.kappa_s, b.ref_radius, b.nmax, points.shape, points.tobytes())
 
 
-def _factor(a: np.ndarray, svd_cutoff: float) -> tuple[np.ndarray, np.ndarray, int, float]:
+def _triu_inverse(r: np.ndarray) -> np.ndarray:
+    """Inverse of an upper-triangular matrix, exactly upper triangular.
+
+    Recursive 2 x 2 blocking: inv([[R11, R12], [0, R22]]) is
+    [[X11, -X11 R12 X22], [0, X22]] with X11, X22 the inverses of the
+    diagonal blocks, so all but the smallest blocks are matrix products.
+    Raises :class:`numpy.linalg.LinAlgError` when R is exactly singular.
+    """
+    n = r.shape[0]
+    if n <= 64:
+        return np.triu(np.linalg.inv(r))
+    k = n // 2
+    x11 = _triu_inverse(r[:k, :k])
+    x22 = _triu_inverse(r[k:, k:])
+    out = np.zeros_like(r)
+    out[:k, :k] = x11
+    out[k:, k:] = x22
+    out[:k, k:] = -(x11 @ r[:k, k:]) @ x22
+    return out
+
+
+def _factor(a: np.ndarray, svd_cutoff: float) -> tuple[np.ndarray | None, np.ndarray, int, float]:
     """``(qh, right, rank, condition)`` of an equilibrated matrix ``a``.
 
-    QR with R inverted explicitly, and ``condition`` the 1-norm condition
-    number of R.  Since cond_2 <= n cond_1 for an n x n matrix, a truncated
-    SVD with relative cutoff ``svd_cutoff`` keeps every singular value when
+    QR forming R only, with ``qh`` None, ``right`` = R^-1 from a triangular
+    inverse, and ``condition`` the 1-norm condition number of R.  Since
+    cond_2 <= n cond_1 for an n x n matrix, a truncated SVD with relative
+    cutoff ``svd_cutoff`` keeps every singular value when
     ``n * condition * svd_cutoff < 1``; otherwise, or when there are fewer
-    rows than columns or R is singular, the truncated SVD is used.
+    rows than columns or R is singular, the truncated SVD is used, with
+    ``qh = U_k^H`` and ``right = V_k S_k^-1``.
     """
     rows, cols = a.shape
     if rows >= cols:
-        q, r = np.linalg.qr(a)
+        r = np.linalg.qr(a, mode="r")
         try:
-            r_inv = np.linalg.inv(r)
+            r_inv = _triu_inverse(r)
         except np.linalg.LinAlgError:
             pass  # exactly singular R: the truncated SVD below finds the rank
         else:
             condition = float(np.linalg.norm(r, 1) * np.linalg.norm(r_inv, 1))
             if cols * condition * svd_cutoff < 1:
-                return np.conjugate(q, out=q).T, r_inv, cols, condition  # in place: one rows x cols array
+                return None, r_inv, cols, condition
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     rank = int(np.count_nonzero((s >= svd_cutoff * s[0]) & (s > 0)))
     if rank < s.shape[0]:

@@ -7,9 +7,12 @@ A surface is the image of r(th, ph) = (r_1, r_2, r_3) with
 encoded by the real vector C of length 6 (N+1)^2 with block order
 (a_1, b_1, a_2, b_2, a_3, b_3) and each block flattened by the harmonic
 index i = n^2 + n + m + 1.  The real basis {Re Y, Im Y} is redundant
-across +-m; the redundancy is harmless (the objective gradient treats
-every entry as an independent coefficient) and is kept because the
-inversion iterates on exactly this vector.
+across +-m: each (n, -m) basis function is +-1 times its (n, m) one, and
+Im Y_n^0 vanishes.  The encoding keeps the redundancy because the
+inversion iterates on exactly this vector (the objective gradient treats
+every entry as an independent coefficient); :func:`distinct_coeff_map`
+exposes it, so the shape Jacobian solves only the 3 (N+1)^2 distinct
+columns and fills the rest by sign.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import specfun
-from .specfun import flatten_index, sphere_quadrature, unflatten_index
+from .specfun import flatten_index, harmonic_columns, sphere_quadrature, unflatten_index
 
 
 class GeometryError(ValueError):
@@ -51,6 +54,32 @@ def encode_coeff_index(j: int, is_imag: bool, n: int, m: int, order: int) -> int
     nmodes = (order + 1) ** 2
     block = 2 * (j - 1) + int(is_imag)
     return block * nmodes + flatten_index(n, m)
+
+
+def distinct_coeff_map(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The +-m redundancy of the coefficient encoding as index arrays.
+
+    With Y_n^{-m} = (-1)^m conj(Y_n^m), Re Y_n^{-m} = (-1)^m Re Y_n^m,
+    Im Y_n^{-m} = -(-1)^m Im Y_n^m and Im Y_n^0 = 0.  Returns
+    ``(distinct, source, sign)``: the 0-based indices of the 3 (N+1)^2
+    distinct coefficients (Re blocks with m >= 0, Im blocks with m > 0),
+    and for each of the 6 (N+1)^2 coefficients the position in
+    ``distinct`` of the one whose basis function it copies and the sign
+    of that copy, +1, -1, or 0 for Im Y_n^0 (whose ``source`` is 0).
+    """
+    n, m = harmonic_columns(order)
+    nmodes = n.shape[0]
+    flip = np.where(np.abs(m) % 2 == 1, -1, 1)
+    re_sign = np.where(m < 0, flip, 1)
+    im_sign = np.where(m < 0, -flip, np.sign(m))
+    imag = (np.arange(6) % 2 == 1)[:, None]
+    sign = np.where(imag, im_sign, re_sign).ravel()
+    keep = np.where(imag, m > 0, m >= 0).ravel()
+    distinct = np.flatnonzero(keep)
+    position = np.zeros(6 * nmodes, dtype=int)
+    position[distinct] = np.arange(distinct.shape[0])
+    own = np.arange(6)[:, None] * nmodes + (n * n + n + np.abs(m))  # the (n, |m|) coefficient of each block
+    return distinct, position[own.ravel()], sign
 
 
 class SurfaceParam:

@@ -175,7 +175,7 @@ def test_criterion_6_fd_checks(mild_ellipsoid_problem):
     opts = fw.SolverOptions(n_trunc=12, quad_order=16, residual_tol=1e-3)
     pts = fw.fibonacci_sphere(50, R)
     sol = fw.solve_rigid_scattering(ell, PW, med, R, opts)
-    jac = dv.shape_jacobian(ell, sol, PW, med, R, pts)
+    jac = dv.shape_jacobian(ell, sol, PW, pts)
     f0 = sol.measure(PW, pts).u
 
     live = [i for i in range(1, 25) if np.linalg.norm(jac.column(i)) > 0]

@@ -199,6 +199,27 @@ def test_q_table_matches_scalar_calls(rng):
             assert abs(table[i - 1, k] - expected) < 1e-12
 
 
+@pytest.mark.parametrize("order", [1, 2, 3, 5])
+def test_q_table_mirror_rows_are_signed_copies(rng, order):
+    # Y_n^-m = (-1)^m conj(Y_n^m): each (n, -m) row of the q table is exactly
+    # +-1 times its (n, m) row, and the Im Y_n^0 rows are zero
+    sp = geo.ellipsoid_coeffs(0.6, 0.75, 0.9, order)
+    sp.coeffs = sp.coeffs + 0.01 * rng.standard_normal(sp.coeffs.shape)
+    table = geo.perturbation_q_table(sp, geo.sample_boundary(sp, order + 6))
+    distinct, source, sign = geo.distinct_coeff_map(order)
+    assert distinct.shape == (3 * (order + 1) ** 2,)
+    for i in range(geo.coeff_length(order)):
+        j, imag, n, m = geo.decode_coeff_index(i + 1, order)
+        expected = 0 if imag and m == 0 else (1 if m >= 0 else (-1) ** m * (-1 if imag else 1))
+        assert sign[i] == expected
+        mirror = geo.encode_coeff_index(j, imag, n, abs(m), order) - 1
+        if expected:
+            assert distinct[source[i]] == mirror
+            assert np.array_equal(table[i], expected * table[mirror])
+        else:
+            assert np.all(table[i] == 0)
+
+
 # ---------------------------------------------------------------------------
 # Cross sections
 # ---------------------------------------------------------------------------
