@@ -35,11 +35,27 @@ class RunConfig:
             f.write("\n")
 
 
+def _positive(ctx, param, value):
+    """Click callback: a positive finite number (``click.FloatRange`` lets NaN through)."""
+    if not 0 < value < math.inf:
+        raise click.BadParameter(f"must be positive and finite, got {value!r}")
+    return value
+
+
+def _nonnegative(ctx, param, value):
+    """Click callback: a nonnegative finite number."""
+    if not 0 <= value < math.inf:
+        raise click.BadParameter(f"must be nonnegative and finite, got {value!r}")
+    return value
+
+
 def _parse_medium(text: str) -> tuple[float, float]:
     try:
         lam, mu = (float(x) for x in text.split(","))
     except ValueError as exc:
-        raise click.BadParameter(f"expected 'lambda,mu', got {text!r}") from exc
+        raise click.BadParameter(f"expected 'lambda,mu', got {text!r}", param_hint="'--medium'") from exc
+    if not (0 < mu < math.inf and 0 < lam + mu < math.inf):
+        raise click.BadParameter(f"need mu > 0 and lambda + mu > 0, both finite, got {text!r}", param_hint="'--medium'")
     return lam, mu
 
 
@@ -99,19 +115,27 @@ def _parse_directions(text: str) -> list[tuple[float, float, float]]:
     return [_unit_direction(row, text) for row in raw]
 
 
-def _parse_surface(text: str) -> geometry.SurfaceParam:
+def _parse_surface(text: str, radius: float) -> geometry.SurfaceParam:
+    """The surface named by ``text``, which must lie inside the measurement sphere Gamma_R."""
     try:
         if text.startswith("sphere:"):
-            return geometry.sphere_coeffs(float(text[len("sphere:") :]), 1)
-        if text.startswith("ellipsoid:"):
+            sp = geometry.sphere_coeffs(float(text[len("sphere:") :]), 1)
+        elif text.startswith("ellipsoid:"):
             ax, ay, az = (float(x) for x in text[len("ellipsoid:") :].split(","))
-            return geometry.ellipsoid_coeffs(ax, ay, az, 1)
-        path = Path(text)
-        if not path.exists():
-            raise click.BadParameter(f"surface file {text!r} does not exist")
-        return geometry.SurfaceParam.load(path)
+            sp = geometry.ellipsoid_coeffs(ax, ay, az, 1)
+        elif Path(text).exists():
+            sp = geometry.SurfaceParam.load(text)
+        else:
+            raise click.BadParameter(f"surface file {text!r} does not exist", param_hint="'--surface'")
+        r_max = inverse._max_radius(sp)
     except ValueError as exc:  # unparsable numbers, JSON or coefficients (GeometryError)
-        raise click.BadParameter(f"bad surface {text!r}: {exc}") from exc
+        raise click.BadParameter(f"bad surface {text!r}: {exc}", param_hint="'--surface'") from exc
+    if not r_max < radius:
+        raise click.BadParameter(
+            f"surface {text!r} reaches radius {r_max:.6g}, outside the measurement sphere of radius {radius}",
+            param_hint="'--surface'",
+        )
+    return sp
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -130,19 +154,27 @@ def main() -> None:
 @main.command()
 @click.option("--surface", required=True, help="surface JSON file, 'sphere:R0', or 'ellipsoid:ax,ay,az'")
 @click.option("--medium", default="2,1", show_default=True, help="Lame parameters 'lambda,mu'")
-@click.option("--radius", default=1.0, show_default=True, help="measurement sphere radius R")
+@click.option("--radius", default=1.0, show_default=True, callback=_positive, help="measurement sphere radius R")
 @click.option("--freqs", default="1:5:1", show_default=True, help="frequencies 'a:b:step' or comma list")
-@click.option("--noise", default=0.05, show_default=True, help="relative noise level delta")
-@click.option("--seed", default=7, show_default=True, help="noise seed")
+@click.option("--noise", default=0.05, show_default=True, callback=_nonnegative, help="relative noise level delta")
+@click.option("--seed", default=7, show_default=True, type=click.IntRange(min=0), help="noise seed")
 @click.option("--directions", default="single:0,1,0", show_default=True, help="'single:x,y,z', 'preset:cube-faces', or JSON file")
-@click.option("--kpoints", default=100, show_default=True, help="number of measurement points on Gamma_R")
+@click.option(
+    "--kpoints",
+    default=100,
+    show_default=True,
+    type=click.IntRange(min=1),
+    help="number of measurement points on Gamma_R",
+)
 @click.option("--wave-kind", default="p", type=click.Choice(["p", "s"]), show_default=True)
-@click.option("--n-trunc", default=None, type=int, help="override the data-synthesis truncation order")
+@click.option(
+    "--n-trunc", default=None, type=click.IntRange(min=0), help="override the data-synthesis truncation order"
+)
 @click.option("--out", "outdir", required=True, help="output directory")
 def synth(surface, medium, radius, freqs, noise, seed, directions, kpoints, wave_kind, n_trunc, outdir):
     """Synthesize measurement files, one per (frequency, direction)."""
     lam, mu = _parse_medium(medium)
-    sp = _parse_surface(surface)
+    sp = _parse_surface(surface, radius)
     omegas = _parse_freqs(freqs)
     dirs = _parse_directions(directions)
     out = Path(outdir)
@@ -152,7 +184,7 @@ def synth(surface, medium, radius, freqs, noise, seed, directions, kpoints, wave
     for iw, omega in enumerate(omegas):
         med = modal.Medium(lam, mu, omega)
         n = n_trunc if n_trunc is not None else modal.default_truncation(med.kappa_s, radius) + 4
-        opts = forward.SolverOptions(n_trunc=n, quad_order=n + 4, residual_tol=2e-2)
+        opts = forward.SolverOptions(n_trunc=n, residual_tol=2e-2)
         sol = None  # every direction shares this frequency's boundary system
         for jd, d in enumerate(dirs):
             if wave_kind == "p":
@@ -196,22 +228,36 @@ def synth(surface, medium, radius, freqs, noise, seed, directions, kpoints, wave
 @main.command()
 @click.option("--data", required=True, help="glob or comma list of measurement JSON files")
 @click.option("--out", "outdir", required=True, help="output directory")
-@click.option("--iterations", default=100, show_default=True, help="descent iterations per stage L")
-@click.option("--tau", default=0.005, show_default=True, help="step coefficient: tau = coeff / k_i")
-@click.option("--r0", default=0.5, show_default=True, help="initial sphere radius")
+@click.option(
+    "--iterations", default=100, show_default=True, type=click.IntRange(min=0), help="descent iterations per stage L"
+)
+@click.option("--tau", default=0.005, show_default=True, callback=_positive, help="step coefficient: tau = coeff / k_i")
+@click.option("--r0", default=0.5, show_default=True, callback=_positive, help="initial sphere radius")
 @click.option("--sum-directions", is_flag=True, help="sum misfits over directions instead of sweeping")
 @click.option("--backtracking", is_flag=True, help="reject objective-increasing steps (off: plain fixed step)")
-@click.option("--residual-tol", default=0.05, show_default=True, help="forward relative boundary residual tolerance")
-@click.option("--n-trunc", default=None, type=int, help="fixed solver truncation (default: per-stage adaptive)")
+@click.option(
+    "--residual-tol",
+    default=0.05,
+    show_default=True,
+    callback=_positive,
+    help="forward relative boundary residual tolerance",
+)
+@click.option(
+    "--n-trunc", default=None, type=click.IntRange(min=0), help="fixed solver truncation (default: per-stage adaptive)"
+)
 def invert(data, outdir, iterations, tau, r0, sum_directions, backtracking, residual_tol, n_trunc):
     """Run the frequency-continuation reconstruction on a data bundle."""
     paths = sorted(globmod.glob(data)) if any(ch in data for ch in "*?[") else data.split(",")
     if not paths:
         raise click.ClickException(f"no data files match {data!r}")
+    datasets = []
     for p in paths:
-        if not Path(p).is_file():
-            raise click.BadParameter(f"{p!r} is not a measurement file", param_hint="'--data'")
-    datasets = [forward.MeasurementSet.load(p) for p in paths]
+        try:
+            datasets.append(forward.MeasurementSet.load(p))
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:  # missing, not JSON, not schema 1
+            raise click.BadParameter(
+                f"{p!r} is not a measurement file ({type(exc).__name__}: {exc})", param_hint="'--data'"
+            ) from exc
     radius = datasets[0].radius
     lam, mu = datasets[0].med.lam, datasets[0].med.mu
     for ds, p in zip(datasets, paths):
@@ -222,9 +268,6 @@ def invert(data, outdir, iterations, tau, r0, sum_directions, backtracking, resi
 
     omegas = tuple(sorted({ds.med.omega for ds in datasets}))
     schedule = inverse.FrequencySchedule(omegas, iterations=iterations, tau_coefficient=tau)
-    opts = None
-    if n_trunc is not None:
-        opts = forward.SolverOptions(n_trunc=n_trunc, quad_order=n_trunc + 4, residual_tol=residual_tol)
     failed_stage = None
     try:
         state = inverse.continuation_run(
@@ -233,7 +276,7 @@ def invert(data, outdir, iterations, tau, r0, sum_directions, backtracking, resi
             r0=r0,
             sweep_directions=not sum_directions,
             backtracking=backtracking,
-            solver_options=opts,
+            n_trunc=n_trunc,
             residual_tol=residual_tol,
         )
     except inverse.StageError as exc:
@@ -357,9 +400,9 @@ def _check_report(lam: float, mu: float, omega: float, radius: float, seed: int)
 
 @main.command()
 @click.option("--medium", default="2,1", show_default=True)
-@click.option("--radius", default=1.0, show_default=True)
-@click.option("--omega", default=2.0, show_default=True)
-@click.option("--seed", default=7, show_default=True)
+@click.option("--radius", default=1.0, show_default=True, callback=_positive)
+@click.option("--omega", default=2.0, show_default=True, callback=_positive)
+@click.option("--seed", default=7, show_default=True, type=click.IntRange(min=0))
 @click.option("--out", "outpath", default=None, help="write the JSON report here as well")
 def check(medium, radius, omega, seed, outpath):
     """Run the modal/special-function verification suite; exit 1 on failure."""
@@ -376,21 +419,19 @@ def check(medium, radius, omega, seed, outpath):
 @main.command(name="jacobian-dump")
 @click.option("--surface", required=True)
 @click.option("--medium", default="2,1", show_default=True)
-@click.option("--radius", default=1.0, show_default=True)
-@click.option("--omega", default=2.0, show_default=True)
+@click.option("--radius", default=1.0, show_default=True, callback=_positive)
+@click.option("--omega", default=2.0, show_default=True, callback=_positive)
 @click.option("--direction", default="0,1,0", show_default=True)
-@click.option("--kpoints", default=100, show_default=True)
-@click.option("--n-trunc", default=None, type=int)
+@click.option("--kpoints", default=100, show_default=True, type=click.IntRange(min=1))
+@click.option("--n-trunc", default=None, type=click.IntRange(min=0))
 @click.option("--out", "outpath", required=True)
 def jacobian_dump(surface, medium, radius, omega, direction, kpoints, n_trunc, outpath):
     """Dump the shape Jacobian u'_i(x_k) to CSV (long format)."""
     lam, mu = _parse_medium(medium)
     med = modal.Medium(lam, mu, omega)
-    sp = _parse_surface(surface)
+    sp = _parse_surface(surface, radius)
     wave = forward.IncidentWave("p", _parse_direction(direction, "--direction"))
-    opts = forward.SolverOptions(residual_tol=5e-2)
-    if n_trunc is not None:
-        opts = forward.SolverOptions(n_trunc=n_trunc, quad_order=n_trunc + 4, residual_tol=5e-2)
+    opts = forward.SolverOptions(n_trunc=n_trunc, residual_tol=5e-2)
     sol = forward.solve_rigid_scattering(sp, wave, med, radius, opts)
     points = forward.fibonacci_sphere(kpoints, radius)
     jac = derivative.shape_jacobian(sp, sol, wave, points)

@@ -86,17 +86,21 @@ def stage_solver_options(
     stage_order: int,
     surface: SurfaceParam,
     residual_tol: float = 0.05,
+    n_trunc: int | None = None,
 ) -> SolverOptions:
     """Per-stage forward-solver discretization.
 
-    The truncation tracks the modal content of the field scattered by the
-    current obstacle (scale kappa_s * r_max) rather than the full
-    measurement sphere, which keeps the per-iteration least-squares solve
-    small; the boundary residual is still reported on every solve.
+    A fixed ``n_trunc`` is used as given.  Otherwise the truncation tracks
+    the modal content of the field scattered by the current obstacle
+    (scale kappa_s * r_max) rather than the full measurement sphere, which
+    keeps the per-iteration least-squares solve small; the boundary
+    residual is still reported on every solve.  The quadrature order is
+    :meth:`SolverOptions.resolve`'s.
     """
-    r_max = _max_radius(surface)
-    n = max(stage_order + 2, int(math.ceil(1.5 * med.kappa_s * min(r_max, radius))) + 6)
-    return SolverOptions(n_trunc=n, quad_order=n + 4, residual_tol=residual_tol)
+    if n_trunc is None:
+        r_max = _max_radius(surface)
+        n_trunc = max(stage_order + 2, int(math.ceil(1.5 * med.kappa_s * min(r_max, radius))) + 6)
+    return SolverOptions(n_trunc=n_trunc, residual_tol=residual_tol).resolve(med, radius)
 
 
 def _check_containment(surface: SurfaceParam, radius: float) -> None:
@@ -113,7 +117,7 @@ def descent_stage(
     schedule: FrequencySchedule,
     stage: int,
     datasets: list[MeasurementSet],
-    options: SolverOptions | None = None,
+    options: SolverOptions,
     sweep_directions: bool = True,
     backtracking: bool = False,
     max_step_retries: int = 6,
@@ -123,9 +127,11 @@ def descent_stage(
     ``datasets`` holds the measurement sets of this stage's frequency (one
     per incident direction).  With ``sweep_directions`` the L iterations
     run once per direction sequentially; otherwise one L-iteration run uses
-    the summed misfit.  A step whose objective evaluation fails or is not
-    finite is rejected and retried with a halved step; exhausting the
-    retries raises :class:`StageError` with the partial state.
+    the summed misfit with the stage's solver ``options`` (see
+    :func:`stage_solver_options`).  A step whose objective evaluation
+    fails (a failed solve or a non-finite objective) is rejected and
+    retried with a halved step; exhausting the retries raises
+    :class:`StageError` with the partial state.
 
     ``backtracking`` additionally rejects steps that increase the
     objective (off by default: the base method is plain fixed-step
@@ -136,8 +142,6 @@ def descent_stage(
     k = schedule.order(stage)
     state.surface = state.surface.resized(k)
     tau = schedule.tau(stage)
-    if options is None:
-        options = stage_solver_options(datasets[0].med, datasets[0].radius, k, state.surface)
     groups = [[ds] for ds in datasets] if sweep_directions else [list(datasets)]
 
     for sweep, group in enumerate(groups):
@@ -161,7 +165,7 @@ def descent_stage(
                 except ObjectiveError:
                     tau_step *= 0.5
                     continue
-                if not math.isfinite(f_new) or (backtracking and f_new > f):
+                if backtracking and f_new > f:
                     tau_step *= 0.5
                     continue
                 break
@@ -203,15 +207,17 @@ def continuation_run(
     r0: float = 0.5,
     sweep_directions: bool = True,
     backtracking: bool = False,
-    solver_options: SolverOptions | None = None,
+    n_trunc: int | None = None,
     residual_tol: float = 0.05,
 ) -> InversionState:
     """Full frequency-continuation reconstruction from a data bundle.
 
     The schedule defaults to the sorted distinct frequencies found in the
-    data with the standard iteration count and step rule.  Per-stage
-    solver discretizations are derived from the current surface unless a
-    fixed ``solver_options`` override is supplied.  The run is
+    data with the standard iteration count and step rule.  Every stage
+    solves to the relative boundary residual ``residual_tol``, at the fixed
+    truncation ``n_trunc`` if one is given and otherwise at one derived
+    from the current surface (:func:`stage_solver_options`); the
+    quadrature order is ``n_trunc + 4`` either way.  The run is
     deterministic: identical inputs produce identical iterates.
     """
     if not datasets:
@@ -222,11 +228,9 @@ def continuation_run(
     groups = group_by_frequency(datasets, schedule)
     state = InversionState(surface=initial_guess(r0, max(schedule.order(0), 1)))
     for i in range(schedule.stages):
-        opts = solver_options
-        if opts is None:
-            opts = stage_solver_options(
-                groups[i][0].med, groups[i][0].radius, schedule.order(i), state.surface, residual_tol
-            )
+        opts = stage_solver_options(
+            groups[i][0].med, groups[i][0].radius, schedule.order(i), state.surface, residual_tol, n_trunc
+        )
         state = descent_stage(
             state,
             schedule,

@@ -24,7 +24,7 @@ coefficient triples in the natural (T, V, W) order and permute internally.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -66,10 +66,10 @@ class Medium:
         return self.omega / math.sqrt(self.mu)
 
 
-def default_truncation(kappa_s: float, radius: float, margin: int = 8) -> int:
+def default_truncation(kappa_s: float, radius: float) -> int:
     """Wiscombe-style truncation order for fields with modal content kappa_s * radius."""
     x = kappa_s * radius
-    return int(math.ceil(x + 4.0 * x ** (1.0 / 3.0) + margin))
+    return int(math.ceil(x + 4.0 * x ** (1.0 / 3.0) + 8))
 
 
 def _mode_count(order: int) -> int:
@@ -188,7 +188,7 @@ def ptv_matrix(med: Medium, radius: float, n: int) -> np.ndarray:
         q[0, 2] = r / zp[0]
         return q
     s = math.sqrt(n * (n + 1))
-    lam = zp[n] * (1.0 + zs[n]) - n * (n + 1)
+    lam = lambda_table(med, radius, n)[n]
     q[0, 0] = -r * s / lam
     q[0, 2] = r * (1.0 + zs[n]) / lam
     q[1, 0] = r * zp[n] / lam
@@ -230,7 +230,7 @@ def dtn_matrix_M(med: Medium, radius: float, n: int) -> np.ndarray:
     r = radius
     tp, ts = med.kappa_p * r, med.kappa_s * r
     nn1 = n * (n + 1)
-    lam_n = zp[n] * (1.0 + zs[n]) - nn1
+    lam_n = lambda_table(med, radius, n)[n]
     m = np.zeros((3, 3), dtype=complex)
     m[0, 0] = (mu / r) * zs[n]
     m[1, 1] = -(mu / r) * (1.0 + ts**2 * zp[n] / lam_n)
@@ -240,33 +240,6 @@ def dtn_matrix_M(med: Medium, radius: float, n: int) -> np.ndarray:
         m[1, 2] = s * (mu / r) * (1.0 + ts**2 / lam_n)
         m[2, 1] = s * (mu / r + ((lam + 2 * mu) / r) * tp**2 / lam_n)
     return m
-
-
-@dataclass(frozen=True)
-class DtnBlocks:
-    """Per-order DtN data for a (medium, radius) pair: G_n, M_n, Lambda_n."""
-
-    med: Medium
-    radius: float
-    order: int
-    G: np.ndarray = field(repr=False)  # (order+1, 3, 3)
-    M: np.ndarray = field(repr=False)
-    lam: np.ndarray = field(repr=False)  # (order+1,)
-
-
-@lru_cache(maxsize=64)
-def _dtn_blocks_cached(lam: float, mu: float, omega: float, radius: float, order: int) -> DtnBlocks:
-    med = Medium(lam, mu, omega)
-    g = np.stack([dtn_matrix_G(med, radius, n) for n in range(order + 1)])
-    m = np.stack([dtn_matrix_M(med, radius, n) for n in range(order + 1)])
-    lam_arr = lambda_table(med, radius, order)
-    for arr in (g, m, lam_arr):
-        arr.setflags(write=False)
-    return DtnBlocks(med, radius, order, g, m, lam_arr)
-
-
-def dtn_blocks(med: Medium, radius: float, order: int) -> DtnBlocks:
-    return _dtn_blocks_cached(med.lam, med.mu, med.omega, radius, order)
 
 
 # ---------------------------------------------------------------------------
@@ -296,26 +269,24 @@ def displacement_to_potentials(v: DisplacementCoeffs, med: Medium, radius: float
 
 def apply_T(v: DisplacementCoeffs, med: Medium, radius: float) -> DisplacementCoeffs:
     """Boundary operator: traction-like coefficients b_n^m = M_n v_n^m per block."""
-    blocks = dtn_blocks(med, radius, v.order)
     out = DisplacementCoeffs(v.order, radius=radius)
     perm = _VTW_PERM
     for n in range(v.order + 1):
         sl = slice(n * n, (n + 1) ** 2)
         vperm = v.data[sl][:, perm]
-        out.data[sl] = (vperm @ blocks.M[n].T)[:, perm]
+        out.data[sl] = (vperm @ dtn_matrix_M(med, radius, n).T)[:, perm]
     return out
 
 
 def traction_from_potentials(p: PotentialCoeffs, med: Medium, radius: float) -> DisplacementCoeffs:
     """Traction-like coefficients of the boundary operator applied to the
     radiating field of the given potentials, via the G_n blocks."""
-    blocks = dtn_blocks(med, radius, p.order)
     out = DisplacementCoeffs(p.order, radius=radius)
     perm = _VTW_PERM
     inv_r2 = 1.0 / radius**2
     for n in range(p.order + 1):
         sl = slice(n * n, (n + 1) ** 2)
-        out.data[sl] = inv_r2 * (p.data[sl] @ blocks.G[n].T)[:, perm]
+        out.data[sl] = inv_r2 * (p.data[sl] @ dtn_matrix_G(med, radius, n).T)[:, perm]
     return out
 
 

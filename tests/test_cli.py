@@ -21,6 +21,18 @@ def runner():
     return CliRunner()
 
 
+@pytest.fixture(scope="module")
+def measurement_file(tmp_path_factory):
+    """A valid small measurement file, so that an invert case fails only on the option it varies."""
+    sp = geo.sphere_coeffs(0.5, 1)
+    wave = fw.IncidentWave("p", (0.0, 1.0, 0.0))
+    opts = fw.SolverOptions(n_trunc=6, residual_tol=2e-2)
+    ms = fw.scattering_operator(sp, wave, modal.Medium(2.0, 1.0, 1.0), 1.0, fw.fibonacci_sphere(5, 1.0), opts)
+    path = tmp_path_factory.mktemp("data") / "data_w0_d0.json"
+    ms.save(path)
+    return path
+
+
 def test_option_parsers(tmp_path):
     assert _parse_medium("2,1") == (2.0, 1.0)
     assert _parse_freqs("1:5:1") == [1.0, 2.0, 3.0, 4.0, 5.0]
@@ -55,13 +67,56 @@ def test_directions_reject_zero_vectors(tmp_path):
         ["synth", "--surface", "NAN_SURFACE"],
         ["jacobian-dump", "--surface", "sphere:0.6", "--direction", "0,0,0"],
         ["jacobian-dump", "--surface", "sphere:0.6", "--direction", "1,2"],
+        ["synth", "--surface", "sphere:0.6", "--kpoints", "0"],
+        ["synth", "--surface", "sphere:0.6", "--noise", "-0.1"],
+        ["synth", "--surface", "sphere:0.6", "--noise", "nan"],
+        ["synth", "--surface", "sphere:0.6", "--radius", "0"],
+        ["synth", "--surface", "sphere:0.6", "--radius", "-1"],
+        ["synth", "--surface", "sphere:0.6", "--radius", "nan"],
+        ["synth", "--surface", "sphere:0.6", "--medium", "1,-1"],
+        ["synth", "--surface", "sphere:0.6", "--n-trunc", "-1"],
+        ["synth", "--surface", "sphere:0.6", "--seed", "-1"],
+        ["synth", "--surface", "sphere:0.5", "--radius", "0.3"],
+        ["jacobian-dump", "--surface", "sphere:0.5", "--radius", "0.3"],
+        ["jacobian-dump", "--surface", "sphere:0.6", "--kpoints", "0"],
+        ["jacobian-dump", "--surface", "sphere:0.6", "--radius", "nan"],
+        ["jacobian-dump", "--surface", "sphere:0.6", "--medium", "1,-1"],
+        ["jacobian-dump", "--surface", "sphere:0.6", "--n-trunc", "-1"],
+        ["jacobian-dump", "--surface", "sphere:0.6", "--omega", "0"],
+        ["check", "--radius", "0"],
+        ["check", "--radius", "nan"],
+        ["check", "--medium", "1,-1"],
+        ["check", "--omega", "nan"],
+        ["check", "--seed", "-1"],
+        ["invert", "--data", "DATA", "--r0", "0"],
+        ["invert", "--data", "DATA", "--r0", "-0.5"],
+        ["invert", "--data", "DATA", "--r0", "inf"],
+        ["invert", "--data", "DATA", "--iterations", "-2"],
+        ["invert", "--data", "DATA", "--tau", "0"],
+        ["invert", "--data", "DATA", "--tau", "-0.005"],
+        ["invert", "--data", "DATA", "--tau", "nan"],
+        ["invert", "--data", "DATA", "--n-trunc", "-1"],
+        ["invert", "--data", "DATA", "--residual-tol", "0"],
+        ["invert", "--data", "DATA", "--residual-tol", "nan"],
+        ["invert", "--data", "NOT_JSON"],
+        ["invert", "--data", "NOT_MEASUREMENTS"],
     ],
 )
-def test_bad_inputs_are_usage_errors(runner, tmp_path, args):
+def test_bad_inputs_are_usage_errors(runner, tmp_path, measurement_file, args):
     nan_surface = tmp_path / "nan_surface.json"
     c = geo.sphere_coeffs(0.6, 1).coeffs.tolist()
     nan_surface.write_text(json.dumps({"schema": 1, "N": 1, "C": [math.nan] + c[1:]}))
-    args = [str(nan_surface) if a == "NAN_SURFACE" else a for a in args]
+    not_json = tmp_path / "not_json.json"
+    not_json.write_text("not json\n")
+    not_measurements = tmp_path / "not_measurements.json"
+    not_measurements.write_text(json.dumps({"schema": 1, "R": 1.0}))
+    files = {
+        "NAN_SURFACE": nan_surface,
+        "DATA": measurement_file,
+        "NOT_JSON": not_json,
+        "NOT_MEASUREMENTS": not_measurements,
+    }
+    args = [str(files.get(a, a)) for a in args]
     out = tmp_path / "out"
     res = runner.invoke(main, [*args, "--out", str(out)])
     assert res.exit_code == 2, res.output

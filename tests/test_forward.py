@@ -104,6 +104,13 @@ def test_zero_data_zero_solution(med_std):
     assert sol.residual_rms == 0.0
 
 
+def test_default_quadrature_order_is_n_trunc_plus_4(med_std):
+    for opts in (fw.SolverOptions(), fw.SolverOptions(n_trunc=7)):
+        resolved = opts.resolve(med_std, R)
+        assert resolved.quad_order == resolved.n_trunc + 4
+    assert fw.SolverOptions(n_trunc=7, quad_order=9).resolve(med_std, R).quad_order == 9
+
+
 def test_sphere_dense_matches_block_oracle(med_std, pwave):
     a = 0.75
     sp = geo.sphere_coeffs(a, 1)

@@ -86,7 +86,9 @@ def test_zero_gradient_fixed_point(sphere_dataset):
 def test_objective_decreases_first_iterations(sphere_dataset):
     sched = inv.FrequencySchedule((1.0,), iterations=10)
     state = inv.InversionState(surface=inv.initial_guess(0.5, 1))
-    state = inv.descent_stage(state, sched, 0, [sphere_dataset])
+    state = inv.descent_stage(
+        state, sched, 0, [sphere_dataset], options=inv.stage_solver_options(sphere_dataset.med, R, 1, state.surface)
+    )
     fs = [h["objective"] for h in state.history]
     assert len(fs) == 11
     assert all(b < a for a, b in zip(fs, fs[1:]))
@@ -129,6 +131,21 @@ def test_stage_failure_keeps_partial_history(sphere_dataset):
     assert isinstance(err.value.state, inv.InversionState)
 
 
+def test_stage_solver_options_fixed_truncation(sphere_dataset):
+    surface = inv.initial_guess(0.5, 1)
+    opts = inv.stage_solver_options(sphere_dataset.med, R, 1, surface, residual_tol=0.03, n_trunc=7)
+    assert (opts.n_trunc, opts.quad_order, opts.residual_tol) == (7, 11, 0.03)
+    adaptive = inv.stage_solver_options(sphere_dataset.med, R, 1, surface)
+    assert adaptive.quad_order == adaptive.n_trunc + 4
+
+
+def test_continuation_honours_residual_tol_at_fixed_truncation(sphere_dataset):
+    # a tolerance no truncation-6 solve can meet must fail the stage
+    sched = inv.FrequencySchedule((1.0,), iterations=3)
+    with pytest.raises(inv.StageError):
+        inv.continuation_run([sphere_dataset], sched, n_trunc=6, residual_tol=1e-14)
+
+
 def test_containment_rejects_nan_surface():
     # a descent step writes the coefficient vector directly; NaN entries sample
     # to NaN points, whose radius must not pass the containment check
@@ -143,7 +160,13 @@ def test_backtracking_rejects_increases(sphere_dataset):
     sched = inv.FrequencySchedule((1.0,), iterations=4, tau_coefficient=0.2)
     state = inv.InversionState(surface=inv.initial_guess(0.5, 1))
     state = inv.descent_stage(
-        state, sched, 0, [sphere_dataset], backtracking=True, max_step_retries=14
+        state,
+        sched,
+        0,
+        [sphere_dataset],
+        options=inv.stage_solver_options(sphere_dataset.med, R, 1, state.surface),
+        backtracking=True,
+        max_step_retries=14,
     )
     fs = [h["objective"] for h in state.history]
     assert all(b <= a for a, b in zip(fs, fs[1:]))
