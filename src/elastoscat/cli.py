@@ -7,6 +7,7 @@ parsers.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import glob as globmod
 import json
@@ -64,14 +65,16 @@ def _parse_freqs(text: str) -> list[float]:
     try:
         values = [float(x) for x in text.split(":" if is_range else ",")]
     except ValueError as exc:
-        raise click.BadParameter(f"expected 'a:b:step' or comma list, got {text!r}") from exc
+        raise click.BadParameter(f"expected 'a:b:step' or comma list, got {text!r}", param_hint="'--freqs'") from exc
     if not all(0 < x < math.inf for x in values):
-        raise click.BadParameter(f"frequencies (and the step) must be positive and finite, got {text!r}")
+        raise click.BadParameter(
+            f"frequencies (and the step) must be positive and finite, got {text!r}", param_hint="'--freqs'"
+        )
     if not is_range:
         return values
     a, b, step = values
     if b < a:
-        raise click.BadParameter(f"bad frequency range {text!r}")
+        raise click.BadParameter(f"bad frequency range {text!r}", param_hint="'--freqs'")
     n = int(math.floor((b - a) / step + 1e-9)) + 1
     return [a + i * step for i in range(n)]
 
@@ -86,56 +89,64 @@ _CUBE_FACES = [
 ]
 
 
-def _unit_direction(row, source: str) -> tuple[float, float, float]:
+def _unit_direction(row, source: str, option: str) -> tuple[float, float, float]:
     d = np.asarray(row, dtype=float)
     norm = np.linalg.norm(d)
     if d.shape != (3,) or not 0 < norm < math.inf:
-        raise click.BadParameter(f"direction {row!r} in {source!r} is not a nonzero finite 3-vector")
+        raise click.BadParameter(
+            f"direction {row!r} in {source!r} is not a nonzero finite 3-vector", param_hint=f"'{option}'"
+        )
     return tuple(d / norm)
 
 
-def _parse_direction(text: str, source: str) -> tuple[float, float, float]:
+def _parse_direction(text: str, option: str) -> tuple[float, float, float]:
     try:
         row = [float(x) for x in text.split(",")]
     except ValueError as exc:
-        raise click.BadParameter(f"expected 'x,y,z' in {source!r}") from exc
-    return _unit_direction(row, source)
+        raise click.BadParameter(f"expected 'x,y,z', got {text!r}", param_hint=f"'{option}'") from exc
+    return _unit_direction(row, text, option)
 
 
 def _parse_directions(text: str) -> list[tuple[float, float, float]]:
     if text == "preset:cube-faces":
         return list(_CUBE_FACES)
     if text.startswith("single:"):
-        return [_parse_direction(text[len("single:") :], text)]
+        return [_parse_direction(text[len("single:") :], "--directions")]
     path = Path(text)
     if not path.exists():
-        raise click.BadParameter(f"directions file {text!r} does not exist")
-    with open(path) as f:
-        raw = json.load(f)
-    return [_unit_direction(row, text) for row in raw]
+        raise click.BadParameter(f"directions file {text!r} does not exist", param_hint="'--directions'")
+    try:
+        with open(path) as f:
+            raw = json.load(f)
+        return [_unit_direction(row, text, "--directions") for row in raw]
+    except (OSError, ValueError, TypeError) as exc:  # unreadable, not JSON, or not a list of number triples
+        raise click.BadParameter(f"bad directions file {text!r}: {exc}", param_hint="'--directions'") from exc
 
 
-def _parse_surface(text: str, radius: float) -> geometry.SurfaceParam:
-    """The surface named by ``text``, which must lie inside the measurement sphere Gamma_R."""
+def _parse_surface(text: str) -> geometry.SurfaceParam:
+    """The surface named by ``text``; the solve checks that it lies inside Gamma_R."""
     try:
         if text.startswith("sphere:"):
-            sp = geometry.sphere_coeffs(float(text[len("sphere:") :]), 1)
-        elif text.startswith("ellipsoid:"):
+            return geometry.sphere_coeffs(float(text[len("sphere:") :]), 1)
+        if text.startswith("ellipsoid:"):
             ax, ay, az = (float(x) for x in text[len("ellipsoid:") :].split(","))
-            sp = geometry.ellipsoid_coeffs(ax, ay, az, 1)
-        elif Path(text).exists():
-            sp = geometry.SurfaceParam.load(text)
-        else:
-            raise click.BadParameter(f"surface file {text!r} does not exist", param_hint="'--surface'")
-        r_max = inverse._max_radius(sp)
-    except ValueError as exc:  # unparsable numbers, JSON or coefficients (GeometryError)
+            return geometry.ellipsoid_coeffs(ax, ay, az, 1)
+        if Path(text).exists():
+            return geometry.SurfaceParam.load(text)
+    except (OSError, ValueError) as exc:  # unreadable file, unparsable numbers, JSON or coefficients
         raise click.BadParameter(f"bad surface {text!r}: {exc}", param_hint="'--surface'") from exc
-    if not r_max < radius:
-        raise click.BadParameter(
-            f"surface {text!r} reaches radius {r_max:.6g}, outside the measurement sphere of radius {radius}",
-            param_hint="'--surface'",
-        )
-    return sp
+    raise click.BadParameter(f"surface file {text!r} does not exist", param_hint="'--surface'")
+
+
+@contextlib.contextmanager
+def _solve_failures_as_usage_errors():
+    """Report a forward solve's rejection of the surface or truncation as a usage error."""
+    try:
+        yield
+    except geometry.GeometryError as exc:
+        raise click.BadParameter(str(exc), param_hint="'--surface'") from exc
+    except forward.SolverError as exc:
+        raise click.BadParameter(str(exc), param_hint="'--n-trunc'") from exc
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -174,17 +185,15 @@ def main() -> None:
 def synth(surface, medium, radius, freqs, noise, seed, directions, kpoints, wave_kind, n_trunc, outdir):
     """Synthesize measurement files, one per (frequency, direction)."""
     lam, mu = _parse_medium(medium)
-    sp = _parse_surface(surface, radius)
+    sp = _parse_surface(surface)
     omegas = _parse_freqs(freqs)
     dirs = _parse_directions(directions)
     out = Path(outdir)
-    out.mkdir(parents=True, exist_ok=True)
     points = forward.fibonacci_sphere(kpoints, radius)
-    file_index = 0
+    opts = forward.SolverOptions(n_trunc=n_trunc, residual_tol=2e-2)
+    results = []  # (file name, measurements, report) of every solve, written once all have passed
     for iw, omega in enumerate(omegas):
         med = modal.Medium(lam, mu, omega)
-        n = n_trunc if n_trunc is not None else modal.default_truncation(med.kappa_s, radius) + 4
-        opts = forward.SolverOptions(n_trunc=n, residual_tol=2e-2)
         sol = None  # every direction shares this frequency's boundary system
         for jd, d in enumerate(dirs):
             if wave_kind == "p":
@@ -194,19 +203,20 @@ def synth(surface, medium, radius, freqs, noise, seed, directions, kpoints, wave
                 pol = np.cross(helper, d)
                 pol = pol / np.linalg.norm(pol)
                 wave = forward.IncidentWave("s", d, tuple(pol))
-            if sol is None:
-                sol = forward.solve_rigid_scattering(sp, wave, med, radius, opts)
-            else:
-                sol = sol.resolve_incident(wave)
+            with _solve_failures_as_usage_errors():
+                if sol is None:
+                    sol = forward.solve_rigid_scattering(sp, wave, med, radius, opts)
+                else:
+                    sol = sol.resolve_incident(wave)
             ms = sol.measure(wave, points)
             if noise > 0:
                 ms = forward.add_noise(ms, noise, seed + 1000 * iw + jd)
-            path = out / f"data_w{iw}_d{jd}.json"
-            ms.save(path)
-            click.echo(
-                f"wrote {path}  omega={omega} dir={jd} n_trunc={n} boundary residual={sol.residual_rel:.3e}"
-            )
-            file_index += 1
+            report = f"omega={omega} dir={jd} n_trunc={sol.order} boundary residual={sol.residual_rel:.3e}"
+            results.append((f"data_w{iw}_d{jd}.json", ms, report))
+    out.mkdir(parents=True, exist_ok=True)
+    for name, ms, report in results:
+        ms.save(out / name)
+        click.echo(f"wrote {out / name}  {report}")
     RunConfig(
         "synth",
         {
@@ -220,7 +230,7 @@ def synth(surface, medium, radius, freqs, noise, seed, directions, kpoints, wave
             "kpoints": kpoints,
             "wave_kind": wave_kind,
             "n_trunc": n_trunc,
-            "files": file_index,
+            "files": len(results),
         },
     ).save(out / "synth_config.json")
 
@@ -429,10 +439,11 @@ def jacobian_dump(surface, medium, radius, omega, direction, kpoints, n_trunc, o
     """Dump the shape Jacobian u'_i(x_k) to CSV (long format)."""
     lam, mu = _parse_medium(medium)
     med = modal.Medium(lam, mu, omega)
-    sp = _parse_surface(surface, radius)
+    sp = _parse_surface(surface)
     wave = forward.IncidentWave("p", _parse_direction(direction, "--direction"))
     opts = forward.SolverOptions(n_trunc=n_trunc, residual_tol=5e-2)
-    sol = forward.solve_rigid_scattering(sp, wave, med, radius, opts)
+    with _solve_failures_as_usage_errors():
+        sol = forward.solve_rigid_scattering(sp, wave, med, radius, opts)
     points = forward.fibonacci_sphere(kpoints, radius)
     jac = derivative.shape_jacobian(sp, sol, wave, points)
     rows = []

@@ -28,13 +28,16 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .geometry import BoundarySample, SurfaceParam, sample_boundary
+from .geometry import BoundarySample, GeometryError, SurfaceParam, sample_boundary
 from .modal import Medium, PotentialCoeffs, default_truncation
 from .wavefields import WaveBasis
 
 
 class SolverError(RuntimeError):
     """Forward solve failed to reach the requested boundary residual."""
+
+
+_SVD_CUTOFF = 1e-12  # relative singular-value cutoff of the truncated SVD (see _factor)
 
 
 @dataclass(frozen=True)
@@ -101,15 +104,13 @@ class SolverOptions:
     ``n_trunc`` defaults to the Wiscombe-style order for modal content
     kappa_s * R; ``quad_order`` to ``n_trunc + 4``, the one quadrature rule
     of every solve (about 3.8 rows per column; ``n_trunc + 2`` conditions
-    the equilibrated system ten times worse).  ``svd_cutoff`` is the
-    relative singular-value cutoff of the truncated SVD that near-singular
-    boundary systems are solved with.  ``residual_tol`` is the relative
-    boundary residual beyond which the solve is reported as not converged.
+    the equilibrated system ten times worse).  ``residual_tol`` is the
+    relative boundary residual beyond which the solve is reported as not
+    converged.
     """
 
     n_trunc: int | None = None
     quad_order: int | None = None
-    svd_cutoff: float = 1e-12
     residual_tol: float = 1e-6
 
     def resolve(self, med: Medium, radius: float) -> "SolverOptions":
@@ -369,10 +370,15 @@ def solve_exterior_dirichlet(
     a sphere centered at the origin the fit decouples into per-mode blocks
     and is exact up to truncation.  Further data on the same system is
     solved with :meth:`ScatteredSolution.resolve`, which reuses the
-    :class:`BoundarySystem` factored here.
+    :class:`BoundarySystem` factored here.  The problem is posed between the
+    surface and Gamma_R, so :class:`GeometryError` is raised unless the
+    surface sample lies strictly inside the sphere of ``radius``.
     """
     opts = options.resolve(med, radius)
     sample = sample_boundary(sp, opts.quad_order)
+    r_max = float(np.linalg.norm(sample.points, axis=1).max())
+    if not r_max < radius:  # written so that a NaN surface fails too
+        raise GeometryError(f"surface reaches radius {r_max:.6g}, outside the sphere Gamma_R of radius {radius}")
     data = _boundary_data(dirichlet_data, sample)
     basis = WaveBasis(med.kappa_p, med.kappa_s, radius, opts.n_trunc, sample.points)
     row_w = np.repeat(np.sqrt(sample.weights), 3)
@@ -380,7 +386,7 @@ def solve_exterior_dirichlet(
 
     colnorm = np.linalg.norm(aw, axis=0)
     colscale = np.where(colnorm > 0, 1.0 / colnorm, 0.0)
-    qh, right, rank, condition = _factor(aw * colscale[None, :], opts.svd_cutoff)
+    qh, right, rank, condition = _factor(aw * colscale[None, :], _SVD_CUTOFF)
     system = BoundarySystem(sample, basis, med, opts, qh, right, colscale, row_w, aw, rank, condition)
     return _fit(system, data)
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .derivative import ObjectiveError, objective_and_gradient
 from .forward import MeasurementSet, SolverOptions
-from .geometry import GeometryError, SurfaceParam, sample_boundary, sphere_coeffs, radial_function
+from .geometry import SurfaceParam, sample_boundary, sphere_coeffs, radial_function
 from .modal import Medium
 from .specfun import sphere_quadrature, sph_to_cart
 
@@ -103,15 +103,6 @@ def stage_solver_options(
     return SolverOptions(n_trunc=n_trunc, residual_tol=residual_tol).resolve(med, radius)
 
 
-def _check_containment(surface: SurfaceParam, radius: float) -> None:
-    try:
-        r_max = _max_radius(surface)
-    except GeometryError as exc:
-        raise ObjectiveError(f"surface iterate is degenerate: {exc}") from exc
-    if not r_max < radius:  # a NaN radius fails too
-        raise ObjectiveError("surface iterate is not contained in the measurement ball")
-
-
 def descent_stage(
     state: InversionState,
     schedule: FrequencySchedule,
@@ -129,9 +120,9 @@ def descent_stage(
     run once per direction sequentially; otherwise one L-iteration run uses
     the summed misfit with the stage's solver ``options`` (see
     :func:`stage_solver_options`).  A step whose objective evaluation
-    fails (a failed solve or a non-finite objective) is rejected and
-    retried with a halved step; exhausting the retries raises
-    :class:`StageError` with the partial state.
+    fails (a surface outside Gamma_R, a failed solve or a non-finite
+    objective) is rejected and retried with a halved step; exhausting the
+    retries raises :class:`StageError` with the partial state.
 
     ``backtracking`` additionally rejects steps that increase the
     objective (off by default: the base method is plain fixed-step
@@ -145,9 +136,7 @@ def descent_stage(
     groups = [[ds] for ds in datasets] if sweep_directions else [list(datasets)]
 
     for sweep, group in enumerate(groups):
-        radius = min(ds.radius for ds in group)
         try:
-            _check_containment(state.surface, radius)
             f, g = objective_and_gradient(state.surface, group, options)
         except ObjectiveError as exc:
             raise StageError(f"stage {stage}: starting point infeasible: {exc}", stage, state) from exc
@@ -160,7 +149,6 @@ def descent_stage(
                 trial = state.surface.copy()
                 trial.coeffs = trial.coeffs - tau_step * g
                 try:
-                    _check_containment(trial, radius)
                     f_new, g_new = objective_and_gradient(trial, group, options)
                 except ObjectiveError:
                     tau_step *= 0.5

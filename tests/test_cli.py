@@ -59,50 +59,62 @@ def test_directions_reject_zero_vectors(tmp_path):
 @pytest.mark.parametrize(
     "args",
     [
-        ["synth", "--surface", "sphere:0.6", "--freqs", "1:x:1"],
-        ["synth", "--surface", "sphere:0.6", "--freqs", "0"],
-        ["synth", "--surface", "sphere:0.6", "--freqs", "1:inf:1"],
-        ["synth", "--surface", "ellipsoid:1,2"],
-        ["synth", "--surface", "sphere:abc"],
-        ["synth", "--surface", "NAN_SURFACE"],
-        ["jacobian-dump", "--surface", "sphere:0.6", "--direction", "0,0,0"],
-        ["jacobian-dump", "--surface", "sphere:0.6", "--direction", "1,2"],
-        ["synth", "--surface", "sphere:0.6", "--kpoints", "0"],
-        ["synth", "--surface", "sphere:0.6", "--noise", "-0.1"],
-        ["synth", "--surface", "sphere:0.6", "--noise", "nan"],
-        ["synth", "--surface", "sphere:0.6", "--radius", "0"],
-        ["synth", "--surface", "sphere:0.6", "--radius", "-1"],
-        ["synth", "--surface", "sphere:0.6", "--radius", "nan"],
-        ["synth", "--surface", "sphere:0.6", "--medium", "1,-1"],
-        ["synth", "--surface", "sphere:0.6", "--n-trunc", "-1"],
-        ["synth", "--surface", "sphere:0.6", "--seed", "-1"],
-        ["synth", "--surface", "sphere:0.5", "--radius", "0.3"],
-        ["jacobian-dump", "--surface", "sphere:0.5", "--radius", "0.3"],
-        ["jacobian-dump", "--surface", "sphere:0.6", "--kpoints", "0"],
-        ["jacobian-dump", "--surface", "sphere:0.6", "--radius", "nan"],
-        ["jacobian-dump", "--surface", "sphere:0.6", "--medium", "1,-1"],
-        ["jacobian-dump", "--surface", "sphere:0.6", "--n-trunc", "-1"],
-        ["jacobian-dump", "--surface", "sphere:0.6", "--omega", "0"],
-        ["check", "--radius", "0"],
-        ["check", "--radius", "nan"],
-        ["check", "--medium", "1,-1"],
-        ["check", "--omega", "nan"],
-        ["check", "--seed", "-1"],
-        ["invert", "--data", "DATA", "--r0", "0"],
-        ["invert", "--data", "DATA", "--r0", "-0.5"],
-        ["invert", "--data", "DATA", "--r0", "inf"],
-        ["invert", "--data", "DATA", "--iterations", "-2"],
-        ["invert", "--data", "DATA", "--tau", "0"],
-        ["invert", "--data", "DATA", "--tau", "-0.005"],
-        ["invert", "--data", "DATA", "--tau", "nan"],
-        ["invert", "--data", "DATA", "--n-trunc", "-1"],
-        ["invert", "--data", "DATA", "--residual-tol", "0"],
-        ["invert", "--data", "DATA", "--residual-tol", "nan"],
-        ["invert", "--data", "NOT_JSON"],
-        ["invert", "--data", "NOT_MEASUREMENTS"],
+        ("--freqs", ["synth", "--surface", "sphere:0.6", "--freqs", "1:x:1"]),
+        ("--freqs", ["synth", "--surface", "sphere:0.6", "--freqs", "0"]),
+        ("--freqs", ["synth", "--surface", "sphere:0.6", "--freqs", "1:inf:1"]),
+        ("--surface", ["synth", "--surface", "ellipsoid:1,2"]),
+        ("--surface", ["synth", "--surface", "sphere:abc"]),
+        ("--surface", ["synth", "--surface", "NAN_SURFACE"]),
+        ("--direction", ["jacobian-dump", "--surface", "sphere:0.6", "--direction", "0,0,0"]),
+        ("--direction", ["jacobian-dump", "--surface", "sphere:0.6", "--direction", "1,2"]),
+        ("--kpoints", ["synth", "--surface", "sphere:0.6", "--kpoints", "0"]),
+        ("--noise", ["synth", "--surface", "sphere:0.6", "--noise", "-0.1"]),
+        ("--noise", ["synth", "--surface", "sphere:0.6", "--noise", "nan"]),
+        ("--radius", ["synth", "--surface", "sphere:0.6", "--radius", "0"]),
+        ("--radius", ["synth", "--surface", "sphere:0.6", "--radius", "-1"]),
+        ("--radius", ["synth", "--surface", "sphere:0.6", "--radius", "nan"]),
+        ("--medium", ["synth", "--surface", "sphere:0.6", "--medium", "1,-1"]),
+        ("--n-trunc", ["synth", "--surface", "sphere:0.6", "--n-trunc", "-1"]),
+        ("--seed", ["synth", "--surface", "sphere:0.6", "--seed", "-1"]),
+        ("--surface", ["synth", "--surface", "sphere:0.5", "--radius", "0.3"]),
+        ("--surface", ["jacobian-dump", "--surface", "sphere:0.5", "--radius", "0.3"]),
+        ("--kpoints", ["jacobian-dump", "--surface", "sphere:0.6", "--kpoints", "0"]),
+        ("--radius", ["jacobian-dump", "--surface", "sphere:0.6", "--radius", "nan"]),
+        ("--medium", ["jacobian-dump", "--surface", "sphere:0.6", "--medium", "1,-1"]),
+        ("--n-trunc", ["jacobian-dump", "--surface", "sphere:0.6", "--n-trunc", "-1"]),
+        ("--omega", ["jacobian-dump", "--surface", "sphere:0.6", "--omega", "0"]),
+        ("--radius", ["check", "--radius", "0"]),
+        ("--radius", ["check", "--radius", "nan"]),
+        ("--medium", ["check", "--medium", "1,-1"]),
+        ("--omega", ["check", "--omega", "nan"]),
+        ("--seed", ["check", "--seed", "-1"]),
+        ("--r0", ["invert", "--data", "DATA", "--r0", "0"]),
+        ("--r0", ["invert", "--data", "DATA", "--r0", "-0.5"]),
+        ("--r0", ["invert", "--data", "DATA", "--r0", "inf"]),
+        ("--iterations", ["invert", "--data", "DATA", "--iterations", "-2"]),
+        ("--tau", ["invert", "--data", "DATA", "--tau", "0"]),
+        ("--tau", ["invert", "--data", "DATA", "--tau", "-0.005"]),
+        ("--tau", ["invert", "--data", "DATA", "--tau", "nan"]),
+        ("--n-trunc", ["invert", "--data", "DATA", "--n-trunc", "-1"]),
+        ("--residual-tol", ["invert", "--data", "DATA", "--residual-tol", "0"]),
+        ("--residual-tol", ["invert", "--data", "DATA", "--residual-tol", "nan"]),
+        ("--data", ["invert", "--data", "NOT_JSON"]),
+        ("--data", ["invert", "--data", "NOT_MEASUREMENTS"]),
+        ("--n-trunc", ["synth", "--surface", "sphere:0.6", "--n-trunc", "0"]),
+        ("--n-trunc", ["jacobian-dump", "--surface", "sphere:0.6", "--n-trunc", "0"]),
+        # the omega = 1 files would pass; the omega = 5 solve fails, and nothing is written
+        (
+            "--n-trunc",
+            ["synth", "--surface", "ellipsoid:0.6,0.75,0.9", "--freqs", "1,5", "--n-trunc", "6",
+             "--kpoints", "10", "--noise", "0"],
+        ),
+        ("--directions", ["synth", "--surface", "sphere:0.6", "--directions", "NOT_JSON"]),
+        ("--directions", ["synth", "--surface", "sphere:0.6", "--directions", "JSON_OBJECT"]),
+        ("--surface", ["synth", "--surface", "DIRECTORY"]),
     ],
 )
 def test_bad_inputs_are_usage_errors(runner, tmp_path, measurement_file, args):
+    option, args = args  # the option the error must name, and the command line
     nan_surface = tmp_path / "nan_surface.json"
     c = geo.sphere_coeffs(0.6, 1).coeffs.tolist()
     nan_surface.write_text(json.dumps({"schema": 1, "N": 1, "C": [math.nan] + c[1:]}))
@@ -110,18 +122,33 @@ def test_bad_inputs_are_usage_errors(runner, tmp_path, measurement_file, args):
     not_json.write_text("not json\n")
     not_measurements = tmp_path / "not_measurements.json"
     not_measurements.write_text(json.dumps({"schema": 1, "R": 1.0}))
+    json_object = tmp_path / "json_object.json"
+    json_object.write_text(json.dumps({"direction": [0, 1, 0]}))
+    directory = tmp_path / "directory"
+    directory.mkdir()
     files = {
         "NAN_SURFACE": nan_surface,
         "DATA": measurement_file,
         "NOT_JSON": not_json,
         "NOT_MEASUREMENTS": not_measurements,
+        "JSON_OBJECT": json_object,
+        "DIRECTORY": directory,
     }
     args = [str(files.get(a, a)) for a in args]
     out = tmp_path / "out"
     res = runner.invoke(main, [*args, "--out", str(out)])
     assert res.exit_code == 2, res.output
-    assert "Invalid value" in res.output
+    assert f"Invalid value for '{option}'" in res.output
     assert not out.exists()
+
+
+def test_synth_default_truncation_is_the_librarys(runner, tmp_path):
+    # without --n-trunc, synth solves at SolverOptions' default truncation
+    args = ["synth", "--surface", "sphere:0.5", "--freqs", "1", "--kpoints", "5", "--noise", "0"]
+    res = runner.invoke(main, [*args, "--out", str(tmp_path / "out")], catch_exceptions=False)
+    assert res.exit_code == 0
+    n = modal.default_truncation(modal.Medium(2.0, 1.0, 1.0).kappa_s, 1.0)
+    assert f" n_trunc={n} " in res.output
 
 
 def test_synth_cube_faces_matches_per_direction_solves(runner, tmp_path):

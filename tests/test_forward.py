@@ -158,6 +158,18 @@ def test_nonconvergence_raises(med_std, pwave):
         fw.solve_rigid_scattering(ell, pwave, med_std, R, fw.SolverOptions(n_trunc=8, quad_order=12, residual_tol=1e-8))
 
 
+def test_surface_outside_gamma_r_raises(pwave):
+    # the problem is posed between the surface and Gamma_R, so a surface that
+    # reaches Gamma_R is rejected, and so is a NaN one
+    med = modal.Medium(2.0, 1.0, 1.0)
+    with pytest.raises(geo.GeometryError):
+        fw.solve_rigid_scattering(geo.sphere_coeffs(0.5, 1), pwave, med, 0.3)
+    nan_surface = geo.sphere_coeffs(0.5, 1)
+    nan_surface.coeffs = nan_surface.coeffs - np.nan
+    with pytest.raises(geo.GeometryError):
+        fw.solve_rigid_scattering(nan_surface, pwave, med, R)
+
+
 def test_resolve_equals_fresh_solve(med_std, pwave):
     # a re-solve against the stored factorization is the same computation as
     # a fresh factor-and-solve, so every reported quantity agrees bitwise
@@ -178,14 +190,13 @@ def test_resolve_equals_fresh_solve(med_std, pwave):
         assert again.system is base.system
 
 
-def test_factorization_paths_agree(med_std, pwave):
+def test_factorization_paths_agree(med_std, pwave, monkeypatch):
     # the cutoff 1e-4 makes n * cond_1(R) * cutoff >= 1, so the truncated SVD
     # factors the system; its condition (~3e3) is below 1e4, so it truncates nothing
     ell = geo.ellipsoid_coeffs(0.6, 0.75, 0.9, 1)
     qr = fw.solve_rigid_scattering(ell, pwave, med_std, R, fw.SolverOptions(n_trunc=8, residual_tol=0.05))
-    svd = fw.solve_rigid_scattering(
-        ell, pwave, med_std, R, fw.SolverOptions(n_trunc=8, residual_tol=0.05, svd_cutoff=1e-4)
-    )
+    monkeypatch.setattr(fw, "_SVD_CUTOFF", 1e-4)
+    svd = fw.solve_rigid_scattering(ell, pwave, med_std, R, fw.SolverOptions(n_trunc=8, residual_tol=0.05))
     ncols = qr.basis.ncols
     assert qr.rank == svd.rank == ncols
     assert ncols * qr.condition * 1e-4 >= 1 and svd.condition < 1e4
@@ -195,9 +206,7 @@ def test_factorization_paths_agree(med_std, pwave):
     np.testing.assert_allclose(svd.coeff_vector, qr.coeff_vector, rtol=0, atol=1e-12 * np.abs(qr.coeff_vector).max())
     w = fw.IncidentWave("s", (0.0, 0.0, -1.0), (1.0, 0.0, 0.0))
     again = svd.resolve_incident(w)
-    fresh = fw.solve_rigid_scattering(
-        ell, w, med_std, R, fw.SolverOptions(n_trunc=8, residual_tol=0.05, svd_cutoff=1e-4)
-    )
+    fresh = fw.solve_rigid_scattering(ell, w, med_std, R, fw.SolverOptions(n_trunc=8, residual_tol=0.05))
     np.testing.assert_array_equal(again.coeff_vector, fresh.coeff_vector)
     assert (again.residual_rel, again.rank, again.condition) == (fresh.residual_rel, fresh.rank, fresh.condition)
 

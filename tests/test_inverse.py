@@ -146,13 +146,13 @@ def test_continuation_honours_residual_tol_at_fixed_truncation(sphere_dataset):
         inv.continuation_run([sphere_dataset], sched, n_trunc=6, residual_tol=1e-14)
 
 
-def test_containment_rejects_nan_surface():
+def test_containment_rejects_nan_surface(sphere_dataset):
     # a descent step writes the coefficient vector directly; NaN entries sample
     # to NaN points, whose radius must not pass the containment check
     trial = inv.initial_guess(0.5, 1)
     trial.coeffs = trial.coeffs - np.nan
     with pytest.raises(ObjectiveError):
-        inv._check_containment(trial, 1.0)
+        inv.objective_and_gradient(trial, [sphere_dataset])
 
 
 def test_backtracking_rejects_increases(sphere_dataset):
