@@ -9,7 +9,6 @@ from .forward import (
     add_noise,
     fibonacci_sphere,
     incident_field,
-    scattering_operator,
     solve_exterior_dirichlet,
     solve_rigid_scattering,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "incident_field",
     "initial_guess",
     "sample_boundary",
-    "scattering_operator",
     "solve_exterior_dirichlet",
     "solve_rigid_scattering",
     "sphere_coeffs",

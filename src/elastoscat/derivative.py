@@ -60,7 +60,6 @@ class ShapeJacobian:
     """
 
     matrix: np.ndarray
-    order: int
 
     def column(self, i: int) -> np.ndarray:
         """u'_i at the measurement points, shape (K, 3); i is 1-based."""
@@ -83,7 +82,7 @@ def shape_jacobian(sp: SurfaceParam, sol: ScatteredSolution, w: IncidentWave, po
     matrix = np.zeros((solved.shape[0], sign.shape[0]), dtype=solved.dtype)
     matrix[:, sign > 0] = solved[:, source[sign > 0]]
     matrix[:, sign < 0] = -solved[:, source[sign < 0]]
-    return ShapeJacobian(matrix=matrix, order=sp.order)
+    return ShapeJacobian(matrix)
 
 
 def objective_and_gradient(

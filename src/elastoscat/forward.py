@@ -429,8 +429,12 @@ class MeasurementSet:
     seed: int | None = None
 
     def __post_init__(self):
+        if not 0 < self.radius < math.inf:
+            raise ValueError(f"measurement radius must be positive and finite, got {self.radius}")
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
         self.u = np.asarray(self.u, dtype=complex)
+        if not (np.all(np.isfinite(self.points)) and np.all(np.isfinite(self.u))):
+            raise ValueError("measurement points and values must be finite")
         r = np.linalg.norm(self.points, axis=1)
         if np.any(np.abs(r - self.radius) > 1e-8 * max(self.radius, 1.0)):
             raise ValueError("measurement points must lie on the sphere of the stated radius")
@@ -481,21 +485,6 @@ class MeasurementSet:
     def load(cls, path) -> "MeasurementSet":
         with open(path) as f:
             return cls.from_json_dict(json.load(f))
-
-
-def scattering_operator(
-    sp: SurfaceParam,
-    w: IncidentWave,
-    med: Medium,
-    radius: float,
-    points: np.ndarray,
-    options: SolverOptions = SolverOptions(),
-) -> MeasurementSet:
-    """Total displacement u = u_inc + v on the measurement points.
-
-    A solution already in hand is measured by :meth:`ScatteredSolution.measure`.
-    """
-    return solve_rigid_scattering(sp, w, med, radius, options).measure(w, points)
 
 
 def add_noise(ms: MeasurementSet, delta: float, seed: int) -> MeasurementSet:

@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import specfun
-from .specfun import flatten_index, harmonic_columns, sphere_quadrature, unflatten_index
+from .specfun import flatten_index, harmonic_columns, sphere_quadrature
 
 
 class GeometryError(ValueError):
@@ -38,22 +38,6 @@ SQRT_4PI3 = math.sqrt(4 * math.pi / 3)  # the Cartesian coordinate functions
 
 def coeff_length(order: int) -> int:
     return 6 * (order + 1) ** 2
-
-
-def decode_coeff_index(i: int, order: int) -> tuple[int, bool, int, int]:
-    """Decode a 1-based coefficient index into (coordinate j, is_imag, n, m)."""
-    nmodes = (order + 1) ** 2
-    if not 1 <= i <= 6 * nmodes:
-        raise GeometryError(f"coefficient index {i} out of range 1..{6 * nmodes}")
-    block, inner = divmod(i - 1, nmodes)
-    n, m = unflatten_index(inner + 1)
-    return block // 2 + 1, bool(block % 2), n, m
-
-
-def encode_coeff_index(j: int, is_imag: bool, n: int, m: int, order: int) -> int:
-    nmodes = (order + 1) ** 2
-    block = 2 * (j - 1) + int(is_imag)
-    return block * nmodes + flatten_index(n, m)
 
 
 def distinct_coeff_map(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -147,6 +131,8 @@ def ellipsoid_coeffs(ax: float, ay: float, az: float, order: int) -> SurfacePara
     """Axis-aligned ellipsoid (ax sin th cos ph, ay sin th sin ph, az cos th)."""
     if order < 1:
         raise GeometryError("encoding requires order >= 1")
+    if not all(0 < a < math.inf for a in (ax, ay, az)):
+        raise GeometryError(f"ellipsoid axes must be positive and finite, got {ax}, {ay}, {az}")
     sp = SurfaceParam(order, np.zeros(coeff_length(order)))
     i_minus = flatten_index(1, -1) - 1
     i_plus = flatten_index(1, 1) - 1
@@ -222,9 +208,6 @@ class BoundarySample:
     def npts(self) -> int:
         return self.points.shape[0]
 
-    def area(self) -> float:
-        return float(np.sum(self.weights))
-
 
 def sample_boundary(sp: SurfaceParam, order: int) -> BoundarySample:
     """Sample the surface on a quadrature grid adequate up to 2*order.
@@ -276,7 +259,7 @@ def perturbation_q_table(sp: SurfaceParam, sample: BoundarySample) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 
-def radial_function(sp: SurfaceParam, directions: np.ndarray, tol: float = 1e-11, maxit: int = 80):
+def radial_function(sp: SurfaceParam, directions: np.ndarray):
     """Distance from the origin to the surface along unit directions.
 
     Damped Gauss-Newton in parameter space on the residual
@@ -291,13 +274,13 @@ def radial_function(sp: SurfaceParam, directions: np.ndarray, tol: float = 1e-11
     _, th, ph = specfun.cart_to_sph(d)
     th = np.clip(th, 1e-7, np.pi - 1e-7)  # start off the chart poles; iterates may return
     scale = None
-    for _ in range(maxit):
+    for _ in range(80):
         pts, d_t, d_p = surface_points(sp, th, ph)
         proj = np.sum(pts * d, axis=1)
         f = pts - proj[:, None] * d
         if scale is None:
             scale = max(np.linalg.norm(pts, axis=1).max(), 1e-30)
-        if np.linalg.norm(f, axis=1).max() < tol * scale:
+        if np.linalg.norm(f, axis=1).max() < 1e-11 * scale:  # relative to the surface size
             break
         j1 = d_t - np.sum(d_t * d, axis=1)[:, None] * d
         j2 = d_p - np.sum(d_p * d, axis=1)[:, None] * d

@@ -1,7 +1,7 @@
 """Multi-frequency continuation reconstruction.
 
 Sweeps the data frequencies from low to high; at each stage the surface is
-represented with harmonic order k_i = floor(omega_i), warm-started from the
+represented with harmonic order k_i = max(1, floor(omega_i)), warm-started from the
 previous stage by zero-padding the coefficient vector, and updated by L
 fixed-step gradient iterations with step tau = tau_coefficient / k_i.
 """
@@ -31,7 +31,13 @@ class StageError(RuntimeError):
 
 @dataclass(frozen=True)
 class FrequencySchedule:
-    """Ordered frequencies with per-stage iteration count and step rule."""
+    """Ordered frequencies with per-stage iteration count and step rule.
+
+    Stage i represents the surface at harmonic order ``order(i)`` =
+    max(1, floor(omega_i)), never below the first-order encoding of the
+    initial sphere, and steps with ``tau(i)`` = tau_coefficient / order(i).
+    Frequencies must be positive, finite and strictly increasing.
+    """
 
     omegas: tuple[float, ...]
     iterations: int = 100
@@ -40,8 +46,8 @@ class FrequencySchedule:
     def __post_init__(self):
         if len(self.omegas) == 0:
             raise ValueError("schedule needs at least one frequency")
-        if any(w <= 0 for w in self.omegas):
-            raise ValueError("frequencies must be positive")
+        if not all(0 < w < math.inf for w in self.omegas):
+            raise ValueError("frequencies must be positive and finite")
         if any(b <= a for a, b in zip(self.omegas, self.omegas[1:])):
             raise ValueError("frequencies must be strictly increasing")
 
@@ -50,10 +56,10 @@ class FrequencySchedule:
         return len(self.omegas)
 
     def order(self, i: int) -> int:
-        return int(math.floor(self.omegas[i]))
+        return max(1, int(math.floor(self.omegas[i])))
 
     def tau(self, i: int) -> float:
-        return self.tau_coefficient / max(self.order(i), 1)
+        return self.tau_coefficient / self.order(i)
 
 
 @dataclass
@@ -176,13 +182,18 @@ def descent_stage(
 
 
 def group_by_frequency(datasets: list[MeasurementSet], schedule: FrequencySchedule):
-    """Match measurement sets to schedule stages (input order kept per stage)."""
+    """Match measurement sets to schedule stages (input order kept per stage).
+
+    A set belongs to the stage whose frequency equals its omega exactly, as
+    in the objective's boundary-system key, so 3.3 and 1.1 + 2.2
+    (3.3000000000000003) are two stages.  Every stage needs at least one set.
+    """
+    stage = {w: i for i, w in enumerate(schedule.omegas)}
     groups = [[] for _ in schedule.omegas]
     for ds in datasets:
-        hits = [i for i, w in enumerate(schedule.omegas) if abs(ds.med.omega - w) < 1e-9 * max(w, 1.0)]
-        if not hits:
+        if ds.med.omega not in stage:
             raise ValueError(f"measurement set at omega={ds.med.omega} matches no schedule frequency")
-        groups[hits[0]].append(ds)
+        groups[stage[ds.med.omega]].append(ds)
     for i, g in enumerate(groups):
         if not g:
             raise ValueError(f"no data for schedule frequency omega={schedule.omegas[i]}")
@@ -191,7 +202,7 @@ def group_by_frequency(datasets: list[MeasurementSet], schedule: FrequencySchedu
 
 def continuation_run(
     datasets: list[MeasurementSet],
-    schedule: FrequencySchedule | None = None,
+    schedule: FrequencySchedule,
     r0: float = 0.5,
     sweep_directions: bool = True,
     backtracking: bool = False,
@@ -200,21 +211,17 @@ def continuation_run(
 ) -> InversionState:
     """Full frequency-continuation reconstruction from a data bundle.
 
-    The schedule defaults to the sorted distinct frequencies found in the
-    data with the standard iteration count and step rule.  Every stage
+    Stage i of ``schedule`` runs on the data whose frequency equals its
+    omega_i exactly (:func:`group_by_frequency`), starting from a sphere of
+    radius ``r0`` at the schedule's first stage order.  Every stage
     solves to the relative boundary residual ``residual_tol``, at the fixed
     truncation ``n_trunc`` if one is given and otherwise at one derived
     from the current surface (:func:`stage_solver_options`); the
     quadrature order is ``n_trunc + 4`` either way.  The run is
     deterministic: identical inputs produce identical iterates.
     """
-    if not datasets:
-        raise ValueError("no measurement data supplied")
-    if schedule is None:
-        omegas = tuple(sorted({ds.med.omega for ds in datasets}))
-        schedule = FrequencySchedule(omegas)
     groups = group_by_frequency(datasets, schedule)
-    state = InversionState(surface=initial_guess(r0, max(schedule.order(0), 1)))
+    state = InversionState(surface=initial_guess(r0, schedule.order(0)))
     for i in range(schedule.stages):
         opts = stage_solver_options(
             groups[i][0].med, groups[i][0].radius, schedule.order(i), state.surface, residual_tol, n_trunc
@@ -232,10 +239,10 @@ def continuation_run(
     return state
 
 
-def surface_error(reconstruction: SurfaceParam, truth: SurfaceParam, quad_order: int = 32) -> float:
+def surface_error(reconstruction: SurfaceParam, truth: SurfaceParam) -> float:
     """Relative L^2 distance between the radial functions of two star-shaped
-    surfaces, normalized by the truth surface."""
-    quad = sphere_quadrature(quad_order)
+    surfaces, normalized by the truth surface, on the order-32 sphere quadrature."""
+    quad = sphere_quadrature(32)
     dirs = sph_to_cart(1.0, quad.theta, quad.phi)
     rho_rec = radial_function(reconstruction, dirs)
     rho_true = radial_function(truth, dirs)

@@ -52,10 +52,10 @@ class Medium:
     omega: float
 
     def __post_init__(self):
-        if self.mu <= 0 or self.lam + self.mu <= 0:
-            raise DomainError(f"need mu > 0 and lam + mu > 0, got lam={self.lam}, mu={self.mu}")
-        if self.omega <= 0:
-            raise DomainError(f"need omega > 0, got {self.omega}")
+        if not 0 < self.mu < math.inf or not 0 < self.lam + self.mu < math.inf:
+            raise DomainError(f"need finite mu > 0 and lam + mu > 0, got lam={self.lam}, mu={self.mu}")
+        if not 0 < self.omega < math.inf:
+            raise DomainError(f"need a finite omega > 0, got {self.omega}")
 
     @property
     def kappa_p(self) -> float:
@@ -95,9 +95,6 @@ class _ModeArray:
 
     def set_block(self, n: int, m: int, value) -> None:
         self.data[flatten_index(n, m) - 1] = value
-
-    def copy(self):
-        return type(self)(self.order, self.data.copy())
 
 
 class DisplacementCoeffs(_ModeArray):

@@ -50,17 +50,6 @@ def flatten_index(n: int, m: int) -> int:
     return n * n + n + m + 1
 
 
-def unflatten_index(i: int) -> tuple[int, int]:
-    """Inverse of :func:`flatten_index`."""
-    if i < 1:
-        raise DomainError(f"flat index must be >= 1, got {i}")
-    n = int(math.isqrt(i - 1))
-    m = i - 1 - n * n - n
-    if abs(m) > n:
-        raise DomainError(f"flat index {i} does not decode to a valid (n, m)")
-    return n, m
-
-
 def harmonic_columns(nmax: int) -> tuple[np.ndarray, np.ndarray]:
     """Degree n and order m of every flat column ``flatten_index(n, m) - 1``, n <= nmax."""
     n = np.repeat(np.arange(nmax + 1), 2 * np.arange(nmax + 1) + 1)
@@ -217,14 +206,6 @@ class SphereQuadrature:
     theta: np.ndarray
     phi: np.ndarray
     weights: np.ndarray
-
-    @property
-    def npts(self) -> int:
-        return self.theta.shape[0]
-
-    def integrate(self, values: np.ndarray) -> complex | np.ndarray:
-        """Integrate sampled values over the unit sphere (weights dot values)."""
-        return np.tensordot(self.weights, values, axes=(0, 0))
 
 
 @lru_cache(maxsize=64)

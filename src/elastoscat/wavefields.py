@@ -110,10 +110,6 @@ class WaveBasis:
     def ncols(self) -> int:
         return 3 * self.nmodes - 2
 
-    def vector_from_potentials(self, pot: np.ndarray) -> np.ndarray:
-        """Stack a ((nmax+1)^2, 3) potential-coefficient array into a column vector."""
-        return np.concatenate([pot[:, 0], pot[1:, 1], pot[1:, 2]])
-
     def potentials_from_vector(self, vec: np.ndarray) -> np.ndarray:
         m = self.nmodes
         pot = np.zeros((m, 3), dtype=complex)
@@ -242,8 +238,6 @@ class WaveBasis:
         layout as :meth:`matrix`.
         """
         directions = np.atleast_2d(np.asarray(directions, dtype=float))
-        if directions.shape == (1, 3) and self.npts > 1:
-            directions = np.broadcast_to(directions, (self.npts, 3))
         out = np.empty((self.npts, 3, self.ncols), dtype=complex)
         ks = self.kappa_s
         nu_s = self._to_spherical(directions)
@@ -265,16 +259,3 @@ class WaveBasis:
             jn = tuple(3.0 * h + ks**2 * (gdotnu * x + s_s * v) + rh for h, x, v, rh in zip(hnu, radial, nu_s, rhnu))
             np.divide(self._to_cartesian(jn), math.sqrt(nn1), out=out[:, :, cols_n])
         return out.reshape(3 * self.npts, self.ncols)
-
-    def evaluate(self, vec: np.ndarray) -> np.ndarray:
-        """Field of a coefficient vector at the basis points, shape (npts, 3)."""
-        return (self.matrix() @ vec).reshape(self.npts, 3)
-
-    def gradient(self, vec: np.ndarray) -> np.ndarray:
-        """Cartesian Jacobians du_i/dx_l of the field, shape (npts, 3, 3)."""
-        cols = []
-        eye = np.eye(3)
-        for l in range(3):
-            d = np.broadcast_to(eye[l], (self.npts, 3))
-            cols.append((self.deriv_along(d) @ vec).reshape(self.npts, 3))
-        return np.stack(cols, axis=2)

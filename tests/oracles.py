@@ -6,7 +6,9 @@ plane-wave PDE residuals come from high-precision finite differences
 quadrature expansion of the boundary data, derivatives from central
 differences, the perturbations q_i from one scalar harmonic per point
 instead of the table path, and the wave basis from one (n, m) mode at a
-time instead of one degree at a time.  The single-harmonic, vector-harmonic
+time instead of one degree at a time.  The index decoders invert the
+production index maps, and the basis-field helpers are the conveniences
+the tests evaluate fields with.  The single-harmonic, vector-harmonic
 and quadrature-expansion helpers read the production harmonic tables, and
 the radiating-field evaluators read the production wave basis; the tests
 check them by closed forms, orthonormality and the modal maps.
@@ -116,7 +118,7 @@ def eval_surface(sp, theta, phi):
 
 def perturbation_q(i, sp, theta, phi, normal):
     """Normal-velocity basis function q_i = nu_j * {Re|Im} Y_n^m at one point."""
-    j, is_imag, n, m = geo.decode_coeff_index(i, sp.order)
+    j, is_imag, n, m = decode_coeff_index(i, sp.order)
     y = sph_harmonic((n, m), theta, phi)
     return float(normal[j - 1] * (y.imag if is_imag else y.real))
 
@@ -243,8 +245,62 @@ def sphere_block_solve(a, med, radius, order, boundary_data_fn, quad_order=None)
 
 
 # ---------------------------------------------------------------------------
+# Index decoders: the inverses of the flat harmonic and coefficient indices
+# ---------------------------------------------------------------------------
+
+
+def unflatten_index(i: int) -> tuple[int, int]:
+    """Inverse of :func:`elastoscat.specfun.flatten_index`."""
+    if i < 1:
+        raise sf.DomainError(f"flat index must be >= 1, got {i}")
+    n = int(math.isqrt(i - 1))
+    m = i - 1 - n * n - n
+    if abs(m) > n:
+        raise sf.DomainError(f"flat index {i} does not decode to a valid (n, m)")
+    return n, m
+
+
+def decode_coeff_index(i: int, order: int) -> tuple[int, bool, int, int]:
+    """Decode a 1-based surface coefficient index into (coordinate j, is_imag, n, m)."""
+    nmodes = (order + 1) ** 2
+    if not 1 <= i <= 6 * nmodes:
+        raise geo.GeometryError(f"coefficient index {i} out of range 1..{6 * nmodes}")
+    block, inner = divmod(i - 1, nmodes)
+    n, m = unflatten_index(inner + 1)
+    return block // 2 + 1, bool(block % 2), n, m
+
+
+def encode_coeff_index(j: int, is_imag: bool, n: int, m: int, order: int) -> int:
+    """Inverse of :func:`decode_coeff_index`."""
+    nmodes = (order + 1) ** 2
+    block = 2 * (j - 1) + int(is_imag)
+    return block * nmodes + sf.flatten_index(n, m)
+
+
+# ---------------------------------------------------------------------------
 # Radiating fields of potential coefficients
 # ---------------------------------------------------------------------------
+
+
+def vector_from_potentials(pot: np.ndarray) -> np.ndarray:
+    """Stack a ((nmax+1)^2, 3) potential-coefficient array into a wave-basis
+    coefficient vector (inverse of ``WaveBasis.potentials_from_vector``)."""
+    return np.concatenate([pot[:, 0], pot[1:, 1], pot[1:, 2]])
+
+
+def basis_field(basis: WaveBasis, vec: np.ndarray) -> np.ndarray:
+    """Field of a coefficient vector at the basis points, shape (npts, 3)."""
+    return (basis.matrix() @ vec).reshape(basis.npts, 3)
+
+
+def basis_gradient(basis: WaveBasis, vec: np.ndarray) -> np.ndarray:
+    """Cartesian Jacobians du_i/dx_l of the field at the basis points, shape (npts, 3, 3)."""
+    cols = []
+    eye = np.eye(3)
+    for l in range(3):
+        d = np.broadcast_to(eye[l], (basis.npts, 3))
+        cols.append((basis.deriv_along(d) @ vec).reshape(basis.npts, 3))
+    return np.stack(cols, axis=2)
 
 
 def eval_radiating_field(p, med, radius: float, points: np.ndarray, gradient: bool = False, min_radius=None):
@@ -265,11 +321,11 @@ def eval_radiating_field(p, med, radius: float, points: np.ndarray, gradient: bo
             f"evaluation at r = {r.min():.3g} is inside the declared validity radius {min_radius:.3g}"
         )
     basis = WaveBasis(med.kappa_p, med.kappa_s, radius, p.order, points)
-    vec = basis.vector_from_potentials(p.data)
-    values = basis.evaluate(vec)
+    vec = vector_from_potentials(p.data)
+    values = basis_field(basis, vec)
     if not gradient:
         return values
-    return values, basis.gradient(vec)
+    return values, basis_gradient(basis, vec)
 
 
 def eval_scalar_potential(p, med, radius: float, points: np.ndarray):

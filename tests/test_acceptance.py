@@ -163,7 +163,7 @@ def test_criterion_5_sphere_oracle():
 def mild_ellipsoid_problem():
     truth = geo.ellipsoid_coeffs(0.7, 0.75, 0.8, 1)
     data_opts = fw.SolverOptions(n_trunc=18, quad_order=22, residual_tol=1e-3)
-    ms = fw.scattering_operator(truth, PW, modal.Medium(2.0, 1.0, 2.0), R, fw.fibonacci_sphere(100, R), data_opts)
+    ms = fw.solve_rigid_scattering(truth, PW, modal.Medium(2.0, 1.0, 2.0), R, data_opts).measure(PW, fw.fibonacci_sphere(100, R))
     return truth, ms
 
 
@@ -188,7 +188,7 @@ def test_criterion_6_fd_checks(mild_ellipsoid_problem):
         for h in (1e-2, 1e-4):
             spp = ell.copy()
             spp.coeffs[i - 1] += h
-            fp = fw.scattering_operator(spp, PW, med, R, pts, opts).u
+            fp = fw.solve_rigid_scattering(spp, PW, med, R, opts).measure(PW, pts).u
             quots.append(np.linalg.norm((fp - f0) / h - col) / nrm)
         min_decay = min(min_decay, quots[0] / quots[1])
 
@@ -226,7 +226,7 @@ def _synthesize_bundle(truth, noisy: bool):
         med = modal.Medium(2.0, 1.0, om)
         n = modal.default_truncation(med.kappa_s, R) + 4
         opts = fw.SolverOptions(n_trunc=n, quad_order=n + 4, residual_tol=2e-2)
-        ms = fw.scattering_operator(truth, PW, med, R, fw.fibonacci_sphere(100, R), opts)
+        ms = fw.solve_rigid_scattering(truth, PW, med, R, opts).measure(PW, fw.fibonacci_sphere(100, R))
         if noisy:
             ms = fw.add_noise(ms, 0.05, seed=101 + i)
         datasets.append(ms)

@@ -27,7 +27,7 @@ def measurement_file(tmp_path_factory):
     sp = geo.sphere_coeffs(0.5, 1)
     wave = fw.IncidentWave("p", (0.0, 1.0, 0.0))
     opts = fw.SolverOptions(n_trunc=6, residual_tol=2e-2)
-    ms = fw.scattering_operator(sp, wave, modal.Medium(2.0, 1.0, 1.0), 1.0, fw.fibonacci_sphere(5, 1.0), opts)
+    ms = fw.solve_rigid_scattering(sp, wave, modal.Medium(2.0, 1.0, 1.0), 1.0, opts).measure(wave, fw.fibonacci_sphere(5, 1.0))
     path = tmp_path_factory.mktemp("data") / "data_w0_d0.json"
     ms.save(path)
     return path
@@ -111,6 +111,10 @@ def test_directions_reject_zero_vectors(tmp_path):
         ("--directions", ["synth", "--surface", "sphere:0.6", "--directions", "NOT_JSON"]),
         ("--directions", ["synth", "--surface", "sphere:0.6", "--directions", "JSON_OBJECT"]),
         ("--surface", ["synth", "--surface", "DIRECTORY"]),
+        ("--data", ["invert", "--data", "NAN_OMEGA"]),
+        ("--data", ["invert", "--data", "NAN_R"]),
+        ("--data", ["invert", "--data", "NAN_LAMBDA"]),
+        ("--surface", ["synth", "--surface", "ellipsoid:-0.6,0.75,0.9"]),
     ],
 )
 def test_bad_inputs_are_usage_errors(runner, tmp_path, measurement_file, args):
@@ -134,6 +138,15 @@ def test_bad_inputs_are_usage_errors(runner, tmp_path, measurement_file, args):
         "JSON_OBJECT": json_object,
         "DIRECTORY": directory,
     }
+    record = json.loads(measurement_file.read_text())
+    nan_records = {
+        "NAN_OMEGA": {**record, "omega": math.nan},
+        "NAN_R": {**record, "R": math.nan},
+        "NAN_LAMBDA": {**record, "medium": {**record["medium"], "lambda": math.nan}},
+    }
+    for name, rec in nan_records.items():
+        files[name] = tmp_path / f"{name.lower()}.json"
+        files[name].write_text(json.dumps(rec))
     args = [str(files.get(a, a)) for a in args]
     out = tmp_path / "out"
     res = runner.invoke(main, [*args, "--out", str(out)])

@@ -381,7 +381,7 @@ def test_tiny_obstacle_weak_scattering(med_std, pwave):
     for a in (1e-2, 1e-3):
         sp = geo.sphere_coeffs(a, 1)
         opts = fw.SolverOptions(n_trunc=6, quad_order=10)
-        ms = fw.scattering_operator(sp, pwave, med_std, R, fw.fibonacci_sphere(40, R), opts)
+        ms = fw.solve_rigid_scattering(sp, pwave, med_std, R, opts).measure(pwave, fw.fibonacci_sphere(40, R))
         u_inc = fw.incident_field(pwave, med_std, ms.points)[0]
         assert np.abs(ms.u - u_inc).max() < 5.0 * a
 
@@ -392,7 +392,7 @@ def test_sphere_scattering_matches_block_series(med_std, pwave):
     pts = fw.fibonacci_sphere(25, R)
     v_oracle = eval_radiating_field(modal.PotentialCoeffs(16, sol_pot), med_std, R, pts)
     u_oracle = fw.incident_field(pwave, med_std, pts)[0] + v_oracle
-    ms = fw.scattering_operator(geo.sphere_coeffs(a, 1), pwave, med_std, R, pts)
+    ms = fw.solve_rigid_scattering(geo.sphere_coeffs(a, 1), pwave, med_std, R).measure(pwave, pts)
     assert np.abs(ms.u - u_oracle).max() < 1e-8 * np.abs(u_oracle).max()
 
 

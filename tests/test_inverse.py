@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ def synth_dataset(surface, omega, kpoints=100, delta=0.0, seed=0, margin=4):
     med = modal.Medium(2.0, 1.0, omega)
     n = modal.default_truncation(med.kappa_s, R) + margin
     opts = fw.SolverOptions(n_trunc=n, quad_order=n + 4, residual_tol=2e-2)
-    ms = fw.scattering_operator(surface, PW, med, R, fw.fibonacci_sphere(kpoints, R), opts)
+    ms = fw.solve_rigid_scattering(surface, PW, med, R, opts).measure(PW, fw.fibonacci_sphere(kpoints, R))
     if delta > 0:
         ms = fw.add_noise(ms, delta, seed)
     return ms
@@ -39,6 +41,12 @@ def test_schedule_validation():
     assert s.order(0) == 1 and s.order(1) == 2
     assert s.tau(0) == pytest.approx(0.005)
     assert s.tau(1) == pytest.approx(0.005 / 2)
+
+
+def test_schedule_rejects_non_finite_frequencies():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            inv.FrequencySchedule((1.0, bad))
 
 
 def test_initial_guess_is_sphere():
@@ -75,7 +83,7 @@ def test_zero_gradient_fixed_point(sphere_dataset):
     # the misfit and gradient vanish identically, so the iterate is fixed
     truth = geo.sphere_coeffs(0.55, 1)
     opts = fw.SolverOptions(n_trunc=10, quad_order=14, residual_tol=1e-6)
-    ms = fw.scattering_operator(truth, PW, modal.Medium(2.0, 1.0, 1.0), R, fw.fibonacci_sphere(60, R), opts)
+    ms = fw.solve_rigid_scattering(truth, PW, modal.Medium(2.0, 1.0, 1.0), R, opts).measure(PW, fw.fibonacci_sphere(60, R))
     sched = inv.FrequencySchedule((1.0,), iterations=3)
     state = inv.InversionState(surface=truth.copy())
     state = inv.descent_stage(state, sched, 0, [ms], options=opts)
@@ -182,6 +190,23 @@ def test_group_by_frequency_validation(sphere_dataset):
         inv.group_by_frequency([sphere_dataset, other], sched)
 
 
+def test_group_by_frequency_matches_exactly(sphere_dataset):
+    # 1.1 + 2.2 is 3.3000000000000003: a stage of its own next to 3.3
+    omegas = (3.3, 1.1 + 2.2)
+    data = [dataclasses.replace(sphere_dataset, med=modal.Medium(2.0, 1.0, w)) for w in omegas]
+    groups = inv.group_by_frequency(data, inv.FrequencySchedule(omegas))
+    assert [[id(ds) for ds in g] for g in groups] == [[id(data[0])], [id(data[1])]]
+
+
+def test_low_frequency_stage_keeps_order_one():
+    # floor(0.5) = 0 would resize the first-order sphere encoding to a point
+    data = synth_dataset(geo.sphere_coeffs(0.55, 1), 0.5, kpoints=20)
+    sched = inv.FrequencySchedule((0.5,), iterations=2)
+    assert sched.order(0) == 1 and sched.tau(0) == sched.tau_coefficient
+    state = inv.continuation_run([data], sched)
+    assert state.surface.order == 1 and len(state.history) == 3
+
+
 def test_direction_sweep_and_sum_modes():
     truth = geo.ellipsoid_coeffs(0.65, 0.7, 0.75, 1)
     waves = [fw.IncidentWave("p", (0.0, 1.0, 0.0)), fw.IncidentWave("p", (1.0, 0.0, 0.0))]
@@ -189,7 +214,7 @@ def test_direction_sweep_and_sum_modes():
     n = modal.default_truncation(med.kappa_s, R) + 2
     opts = fw.SolverOptions(n_trunc=n, quad_order=n + 4, residual_tol=2e-2)
     data = [
-        fw.scattering_operator(truth, w, med, R, fw.fibonacci_sphere(40, R), opts) for w in waves
+        fw.solve_rigid_scattering(truth, w, med, R, opts).measure(w, fw.fibonacci_sphere(40, R)) for w in waves
     ]
     sched = inv.FrequencySchedule((1.0,), iterations=3)
     sweep = inv.continuation_run(data, sched, sweep_directions=True)

@@ -6,6 +6,7 @@ import pytest
 from elastoscat import modal, specfun as sf
 
 from oracles import (
+    basis_field,
     eval_radiating_field,
     eval_scalar_potential,
     fd_curl,
@@ -305,7 +306,7 @@ def test_T2_tangential_trace_identity_vs_fd_curl(med_std):
         vec = np.zeros(wb.ncols, dtype=complex)
         vec[wb.nmodes + col - 1] = 1.0
         h_ref = sf.spherical_h1_table(n, np.array([ks * R]))[n, 0]
-        return wb.evaluate(vec) * math.sqrt(n * (n + 1)) * h_ref / (1j * ks)
+        return basis_field(wb, vec) * math.sqrt(n * (n + 1)) * h_ref / (1j * ks)
 
     curl = fd_curl(psi_field, pts, h=1e-6)
     e_r = sf.spherical_frame(quad.theta, quad.phi)[0]
