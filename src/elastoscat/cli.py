@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass
+from decimal import Decimal
 from pathlib import Path
 
 import click
@@ -72,11 +73,11 @@ def _parse_freqs(text: str) -> list[float]:
         )
     if not is_range:
         return values
-    a, b, step = values
+    # in decimal arithmetic on the text, so that each value is the double nearest the decimal one
+    a, b, step = (Decimal(x) for x in text.split(":"))
     if b < a:
         raise click.BadParameter(f"bad frequency range {text!r}", param_hint="'--freqs'")
-    n = int(math.floor((b - a) / step + 1e-9)) + 1
-    return [a + i * step for i in range(n)]
+    return [float(a + i * step) for i in range(int((b - a) / step) + 1)]
 
 
 _CUBE_FACES = [

@@ -35,15 +35,16 @@ class ObjectiveError(RuntimeError):
 
 
 def normal_derivative_total_field(sol: ScatteredSolution, w: IncidentWave) -> np.ndarray:
-    """(nu . grad) of the total field on the boundary sample of a solve.
+    """(nu . grad) of the total field on the boundary sample of a solve, shape (npts, 3).
 
-    The gradient of the scattered part is analytic (differentiated basis
-    fields, computed once per boundary system); the incident part is a
-    plane wave in the solution's medium.
+    The scattered part is the analytic normal derivative of the solution's
+    expansion, contracted with its coefficients on the system's basis
+    (no derivative matrix is formed); the incident part is a plane wave in
+    the solution's medium.
     """
     sample = sol.sample
     grad_inc = incident_field(w, sol.system.med, sample.points)[1]
-    dv = (sol.system.normal_deriv_matrix @ sol.coeff_vector).reshape(-1, 3)
+    dv = sol.basis.directional_derivative(sample.normals, sol.coeff_vector)
     du_inc = np.einsum("pil,pl->pi", grad_inc, sample.normals)
     return du_inc + dv
 

@@ -7,15 +7,18 @@ quadrature grid (null-field / Rayleigh-hypothesis representation; valid
 for the mildly deformed star-shaped surfaces targeted here, and the
 boundary residual is always reported so failures are visible).
 
-The least-squares system is column-norm equilibrated (Hankel growth across
-orders makes the raw columns badly scaled) and factored by a Householder
-QR that forms R only, never Q.  Right-hand sides are solved by corrected
-semi-normal equations (CSNE: y = R^-1 R^-H A^H b) followed by exactly one
-refinement step with the residual b - A y, which brings the accuracy back
-to that of a QR solve (A. Bjorck, Linear Algebra Appl. 88/89 (1987)
-31-48).  Only a system whose condition estimate says a truncated SVD could
-drop a singular value (or one with fewer rows than columns) is factored by
-that truncated SVD instead, which keeps its U_k^H.
+The least-squares system is assembled once, in each boundary point's
+spherical frame (a rotation of a point's rows changes no residual, so the
+Dirichlet data is rotated instead), row-weighted and column-norm
+equilibrated in place (Hankel growth across orders makes the raw columns
+badly scaled), and factored by a Householder QR that forms R only, never
+Q.  Right-hand sides are solved by corrected semi-normal equations (CSNE:
+y = R^-1 R^-H A^H b) followed by exactly one refinement step with the
+residual b - A y, which brings the accuracy back to that of a QR solve
+(A. Bjorck, Linear Algebra Appl. 88/89 (1987) 31-48).  Only a system whose
+condition estimate says a truncated SVD could drop a singular value (or
+one with fewer rows than columns) is factored by that truncated SVD
+instead, which keeps its U_k^H.
 """
 
 from __future__ import annotations
@@ -132,12 +135,13 @@ class BoundarySystem:
     """The factored boundary least-squares system of one surface sample,
     medium and truncation.
 
-    ``aw`` is the basis matrix with rows scaled by the square roots of the
-    quadrature weights ``row_w``; ``aw * colscale`` is the equilibrated
-    matrix A.  From the R-only QR factorization A = Q R, ``right = R^-1``
+    ``a`` is the equilibrated matrix A: the basis in each sample point's
+    spherical frame (:meth:`WaveBasis.frame_matrix`), its rows scaled by the
+    square roots of the quadrature weights ``row_w`` and its columns by
+    ``colscale``.  From the R-only QR factorization A = Q R, ``right = R^-1``
     and ``qh`` is None: no Q is formed, and every right-hand side is solved
     by corrected semi-normal equations with one refinement step against
-    ``aw``.  From the truncated SVD used for near-singular systems,
+    ``a``.  From the truncated SVD used for near-singular systems,
     ``qh = U_k^H`` and ``right = V_k S_k^-1`` over the ``rank`` singular
     values kept, and the solution operator is ``right @ qh``.
     ``condition`` is the 1-norm condition number of R, or the ratio of the
@@ -154,34 +158,34 @@ class BoundarySystem:
     right: np.ndarray
     colscale: np.ndarray
     row_w: np.ndarray
-    aw: np.ndarray
+    a: np.ndarray
     rank: int
     condition: float
 
-    def coefficients(self, bw: np.ndarray) -> np.ndarray:
-        """Least-squares coefficients for weighted right-hand sides ``bw`` of
-        shape (rows,) or (rows, k); returns (ncols,) or (ncols, k)."""
-        colscale = self.colscale.reshape((-1,) + (1,) * (bw.ndim - 1))
-        if self.qh is not None:
-            return (self.right @ (self.qh @ bw)) * colscale
-        c = self._seminormal(bw, colscale)
-        c += self._seminormal(bw - self.aw @ c, colscale)  # the one refinement step
-        return c
+    def weighted_data(self, values: np.ndarray) -> np.ndarray:
+        """Right-hand sides of Cartesian boundary values (npts, 3) or (npts, 3, k):
+        rotated into the spherical frames and row-weighted, shape (rows,) or (rows, k)."""
+        bw = self.basis.to_frame(values).reshape(self.row_w.shape[0], -1) * self.row_w[:, None]
+        return bw[:, 0] if values.ndim == 2 else bw
 
-    def _seminormal(self, bw: np.ndarray, colscale: np.ndarray) -> np.ndarray:
-        """colscale * R^-1 R^-H A^H bw: the semi-normal solution in unscaled coefficients."""
-        atb = np.conjugate(self.aw.T @ np.conjugate(bw)) * colscale  # A^H bw without a copy of aw^H
-        return (self.right @ (self._right_h @ atb)) * colscale
+    def equilibrated_solve(self, bw: np.ndarray) -> np.ndarray:
+        """Least-squares solution y of A y = ``bw`` in the equilibrated unknowns,
+        (ncols,) or (ncols, k); the coefficients are ``y * colscale``."""
+        if self.qh is not None:
+            return self.right @ (self.qh @ bw)
+        y = self._seminormal(bw)
+        y += self._seminormal(bw - self.a @ y)  # the one refinement step
+        return y
+
+    def _seminormal(self, bw: np.ndarray) -> np.ndarray:
+        """R^-1 R^-H A^H bw: the semi-normal solution."""
+        atb = np.conjugate(self.a.T @ np.conjugate(bw))  # A^H bw without a copy of A^H
+        return self.right @ (self._right_h @ atb)
 
     @cached_property
     def _right_h(self) -> np.ndarray:
         """R^-H, contiguous, formed once per system."""
         return np.conjugate(self.right.T, order="C")
-
-    @cached_property
-    def normal_deriv_matrix(self) -> np.ndarray:
-        """Normal derivatives of every basis field on the sample, (3 npts, ncols)."""
-        return self.basis.deriv_along(self.sample.normals)
 
     def measurement_matrix(self, points: np.ndarray) -> np.ndarray:
         """Basis field values at exterior points, (3 npts, ncols), read-only.
@@ -299,8 +303,8 @@ class ScatteredSolution:
         coefficients have shape (ncols,) or (ncols, k).
         """
         system = self.system
-        c = system.coefficients(data_values.reshape(data_values.shape[0] * 3, -1) * system.row_w[:, None])
-        return c[:, 0] if data_values.ndim == 2 else c
+        y = system.equilibrated_solve(system.weighted_data(data_values))
+        return y * system.colscale.reshape((-1,) + (1,) * (y.ndim - 1))
 
     def resolve(self, dirichlet_data) -> "ScatteredSolution":
         """Solution for other Dirichlet data on the same system.
@@ -339,11 +343,11 @@ def _boundary_data(dirichlet_data, sample: BoundarySample) -> np.ndarray:
 def _fit(system: BoundarySystem, data: np.ndarray) -> ScatteredSolution:
     """Back-substitute boundary data through a factored system and check the residual."""
     sample = system.sample
-    bw = data.reshape(-1) * system.row_w
-    c = system.coefficients(bw)
+    bw = system.weighted_data(data)
+    y = system.equilibrated_solve(bw)
 
     total_w = float(np.sum(sample.weights))
-    resid_norm = float(np.linalg.norm(system.aw @ c - bw))
+    resid_norm = float(np.linalg.norm(system.a @ y - bw))
     rms = resid_norm / math.sqrt(total_w)
     bnorm = float(np.linalg.norm(bw))
     rel = resid_norm / bnorm if bnorm != 0 else 0.0
@@ -353,7 +357,7 @@ def _fit(system: BoundarySystem, data: np.ndarray) -> ScatteredSolution:
             f"boundary residual {rel:.3e} (relative) exceeds tolerance {tol:.1e} "
             f"at truncation order {system.options.n_trunc}"
         )
-    return ScatteredSolution(system, c, rms, rel)
+    return ScatteredSolution(system, y * system.colscale, rms, rel)
 
 
 def solve_exterior_dirichlet(
@@ -382,12 +386,13 @@ def solve_exterior_dirichlet(
     data = _boundary_data(dirichlet_data, sample)
     basis = WaveBasis(med.kappa_p, med.kappa_s, radius, opts.n_trunc, sample.points)
     row_w = np.repeat(np.sqrt(sample.weights), 3)
-    aw = basis.matrix() * row_w[:, None]
-
-    colnorm = np.linalg.norm(aw, axis=0)
+    a = basis.frame_matrix()
+    a *= row_w[:, None]
+    colnorm = np.linalg.norm(a, axis=0)
     colscale = np.where(colnorm > 0, 1.0 / colnorm, 0.0)
-    qh, right, rank, condition = _factor(aw * colscale[None, :], _SVD_CUTOFF)
-    system = BoundarySystem(sample, basis, med, opts, qh, right, colscale, row_w, aw, rank, condition)
+    a *= colscale
+    qh, right, rank, condition = _factor(a, _SVD_CUTOFF)
+    system = BoundarySystem(sample, basis, med, opts, qh, right, colscale, row_w, a, rank, condition)
     return _fit(system, data)
 
 

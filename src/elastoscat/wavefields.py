@@ -18,17 +18,19 @@ coefficient phi_n^m and the coefficients of E_N, E_M are the vector
 potential trace coefficients psi_{2n}^m, psi_{3n}^m on the reference
 sphere.  E_M and E_N vanish identically for n = 0.
 
-Values, and Jacobians contracted with arbitrary directions, are assembled
-one degree n at a time, with array operations over the 2n+1 orders of the
-degree, from analytic spherical-frame gradients and Hessians of the scalar
-modes; the only third-order derivative needed is the radial derivative of
-the Hessian, which the symmetry of third derivatives reduces to
-(x . grad) Hess = r d/dr Hess.
+Values are assembled in each point's spherical frame, where x = r e_r and
+the Hankel equation leave each entry one radial factor of its degree
+(f0 = h_n(kappa r)/h_n(kappa R), f1 = f0') times one angular table of Y_n^m/R;
+Cartesian values are that frame matrix rotated point by point.  Directional
+derivatives are contracted with coefficients instead of formed as a matrix:
+the angular tables are contracted within each degree first, and the
+spherical-frame Hessians of the scalar modes are then evaluated once over
+the degree axis.  The only third-order derivative needed is the radial
+derivative of the Hessian, which the symmetry of third derivatives reduces
+to (x . grad) Hess = r d/dr Hess.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -97,7 +99,7 @@ class WaveBasis:
         self.points = points
         self.npts = points.shape[0]
         self.r = r
-        self.frame = spherical_frame(theta, phi)  # (e_r, e_t, e_p)
+        self.frame = np.stack(spherical_frame(theta, phi))  # (e_r, e_t, e_p), shape (3, npts, 3)
         self.ang = _angular_tables(nmax, theta, phi, ref_radius)
         self.rad_p = _radial_tables(nmax, kappa_p, r, ref_radius)
         self.rad_s = _radial_tables(nmax, kappa_s, r, ref_radius)
@@ -118,144 +120,128 @@ class WaveBasis:
         pot[1:, 2] = vec[2 * m - 1 :]
         return pot
 
-    # -- per-degree spherical-frame building blocks --------------------------
-    #
-    # Every component below has shape (npts, 2n+1): one column per order m of
-    # the degree n.  Spherical-frame vectors are tuples (r, th, ph) of such
-    # components; per-point factors enter as (npts, 1) columns.
+    def to_frame(self, values: np.ndarray) -> np.ndarray:
+        """(e_r, e_th, e_ph) components of Cartesian vectors at the points,
+        shape (npts, 3) or (npts, 3, k) like ``values``."""
+        values = np.asarray(values)
+        return np.matmul(self.frame.transpose(1, 0, 2), values.reshape(self.npts, 3, -1)).reshape(values.shape)
 
-    def _degree_grad(self, n: int, shear: bool):
-        """Scalar modes of degree n and their spherical gradients."""
-        f0, f1 = (self.rad_s if shear else self.rad_p)[:2]
-        ya, yt, yps = (a[:, n * n : (n + 1) ** 2] for a in self.ang[:3])
-        r = self.r[:, None]
-        f0n, f1n = f0[n][:, None], f1[n][:, None]
-        return f0n * ya, (f1n * ya, f0n / r * yt, f0n / r * yps)
-
-    def _degree_hess(self, n: int, shear: bool):
-        """Spherical Hessian components of the scalar modes of degree n."""
-        f0, f1, f2 = (self.rad_s if shear else self.rad_p)[:3]
-        ya, yt, yps, ytt, atp, app = (a[:, n * n : (n + 1) ** 2] for a in self.ang)
-        r = self.r[:, None]
-        f0n, f1n, f2n = f0[n][:, None], f1[n][:, None], f2[n][:, None]
-        c_rt = f1n / r - f0n / r**2
-        return {
-            "rr": f2n * ya,
-            "rt": c_rt * yt,
-            "rp": c_rt * yps,
-            "tt": f0n / r**2 * ytt + f1n / r * ya,
-            "tp": f0n / r**2 * atp,
-            "pp": f0n / r**2 * app + f1n / r * ya,
-        }
-
-    def _degree_rhess(self, n: int):
-        """r d/dr of the spherical Hessian components (shear wavenumber)."""
-        f0, f1, f2, f3 = self.rad_s
-        ya, yt, yps, ytt, atp, app = (a[:, n * n : (n + 1) ** 2] for a in self.ang)
-        r = self.r[:, None]
-        f0n, f1n, f2n, f3n = f0[n][:, None], f1[n][:, None], f2[n][:, None], f3[n][:, None]
-        c_rt = f2n - 2 * f1n / r + 2 * f0n / r**2
-        c_ang = f1n / r - 2 * f0n / r**2
-        c_iso = f2n - f1n / r
-        return {
-            "rr": r * f3n * ya,
-            "rt": c_rt * yt,
-            "rp": c_rt * yps,
-            "tt": c_ang * ytt + c_iso * ya,
-            "tp": c_ang * atp,
-            "pp": c_ang * app + c_iso * ya,
-        }
-
-    @staticmethod
-    def _matvec(h, v):
-        """Symmetric spherical-component matrix times spherical-component vector."""
-        return (
-            h["rr"] * v[0] + h["rt"] * v[1] + h["rp"] * v[2],
-            h["rt"] * v[0] + h["tt"] * v[1] + h["tp"] * v[2],
-            h["rp"] * v[0] + h["tp"] * v[1] + h["pp"] * v[2],
-        )
-
-    @staticmethod
-    def _cross(a, b):
-        return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
-
-    def _to_cartesian(self, v_sph):
-        """Cartesian components of a spherical-frame vector, shape (npts, 3, 2n+1)."""
-        e_r, e_t, e_p = (e[:, :, None] for e in self.frame)
-        cart = v_sph[0][:, None] * e_r
-        cart += v_sph[1][:, None] * e_t
-        cart += v_sph[2][:, None] * e_p
-        return cart
-
-    def _to_spherical(self, v_cart: np.ndarray):
-        """Spherical-frame components of per-point Cartesian vectors, each (npts, 1)."""
-        return tuple(np.sum(v_cart * e, axis=1)[:, None] for e in self.frame)
-
-    def _radial(self):
-        """The position vector x = r e_r in the spherical frame."""
-        r = self.r[:, None]
-        return (r, np.zeros_like(r), np.zeros_like(r))
-
-    def _family_columns(self, n: int):
-        """Column slices of the E_P, E_N and E_M fields of degree n."""
-        lo, hi, m = n * n, (n + 1) ** 2, self.nmodes
-        return slice(lo, hi), slice(m - 1 + lo, m - 1 + hi), slice(2 * m - 2 + lo, 2 * m - 2 + hi)
-
-    # -- public assembly -----------------------------------------------------
+    def frame_matrix(self) -> np.ndarray:
+        """Basis field values in each point's spherical frame, complex (3*npts, ncols),
+        rows stacked as ``(pt0_r, pt0_th, pt0_ph, pt1_r, ...)``.  The frame is
+        orthonormal: residuals against :meth:`to_frame` data are those of :meth:`matrix`.
+        """
+        nm = self.nmodes
+        n = specfun.harmonic_columns(self.nmax)[0]
+        ya, yt, yps = self.ang[:3]
+        out = np.empty((self.npts, 3, self.ncols), dtype=complex)
+        e_p, e_n, e_m = out[:, :, :nm], out[:, :, nm : 2 * nm - 1], out[:, :, 2 * nm - 1 :]
+        # E_P = (f1 Y, f0/r dY/dth, f0/r dY/dph / sin th), radial factors gathered per column
+        f0, f1 = self.rad_p[:2]
+        rad = (f0 / self.r).T[:, n]
+        np.multiply(f1.T[:, n], ya, out=e_p[:, 0])
+        np.multiply(rad, yt, out=e_p[:, 1])
+        np.multiply(rad, yps, out=e_p[:, 2])
+        # shear families from degree 1, with c_M and c_N folded into the radial factors
+        cols = n[1:] - 1
+        ya, yt, yps = ya[:, 1:], yt[:, 1:], yps[:, 1:]
+        f0, f1 = (f[1:] for f in self.rad_s[:2])
+        nn1 = (np.arange(1, self.nmax + 1) * np.arange(2, self.nmax + 2.0))[:, None]
+        # E_M = c_M f0 (0, dY/dph / sin th, -dY/dth)
+        rad = (self.kappa_s**2 * self.ref_radius / nn1 * f0).T[:, cols]
+        e_m[:, 0] = 0.0
+        np.multiply(rad, yps, out=e_m[:, 1])
+        np.multiply(rad, yt, out=e_m[:, 2])
+        np.negative(e_m[:, 2], out=e_m[:, 2])
+        # E_N = c_N (n(n+1) f0/r Y, (f1 + f0/r) dY/dth, (f1 + f0/r) dY/dph / sin th)
+        f0r = f0 / self.r
+        np.multiply((np.sqrt(nn1) * f0r).T[:, cols], ya, out=e_n[:, 0])
+        rad = ((f1 + f0r) / np.sqrt(nn1)).T[:, cols]
+        np.multiply(rad, yt, out=e_n[:, 1])
+        np.multiply(rad, yps, out=e_n[:, 2])
+        return out.reshape(3 * self.npts, self.ncols)
 
     def matrix(self) -> np.ndarray:
         """Basis field values: complex matrix of shape (3*npts, ncols).
 
         Row blocks are the Cartesian components of each point stacked as
-        ``(pt0_x, pt0_y, pt0_z, pt1_x, ...)``.
+        ``(pt0_x, pt0_y, pt0_z, pt1_x, ...)``: :meth:`frame_matrix` rotated
+        point by point.
         """
-        out = np.empty((self.npts, 3, self.ncols), dtype=complex)
-        ks = self.kappa_s
-        radial = self._radial()
-        r = radial[0]
-        for n in range(self.nmax + 1):
-            cols_p, cols_n, cols_m = self._family_columns(n)
-            out[:, :, cols_p] = self._to_cartesian(self._degree_grad(n, shear=False)[1])
-            if n == 0:
-                continue
-            nn1 = n * (n + 1)
-            s_s, g_s = self._degree_grad(n, shear=True)
-            # E_M = c_M * grad s x  x ; with x = r e_r the cross is in-frame
-            e_m = (np.zeros_like(s_s), r * g_s[2], -r * g_s[1])
-            np.multiply(ks**2 * self.ref_radius / nn1, self._to_cartesian(e_m), out=out[:, :, cols_m])
-            # E_N = c_N * (2 grad s + kappa^2 s x + H x)
-            ks2s = ks**2 * s_s
-            hx = self._matvec(self._degree_hess(n, shear=True), radial)
-            e_n = tuple(2.0 * g + ks2s * x + h for g, x, h in zip(g_s, radial, hx))
-            np.divide(self._to_cartesian(e_n), math.sqrt(nn1), out=out[:, :, cols_n])
-        return out.reshape(3 * self.npts, self.ncols)
+        sph = self.frame_matrix().reshape(self.npts, 3, self.ncols)
+        return np.matmul(self.frame.transpose(1, 2, 0), sph).reshape(3 * self.npts, self.ncols)
 
-    def deriv_along(self, directions: np.ndarray) -> np.ndarray:
-        """Directional derivatives (d . grad) of every basis field.
+    def directional_derivative(self, directions: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+        """(d . grad) of the field with coefficient vector(s) ``coeffs``.
 
         ``directions`` has shape (npts, 3) or (1, 3) for one direction at
-        every point; the result has shape (3*npts, ncols) with the same row
-        layout as :meth:`matrix`.
+        every point; ``coeffs`` has shape (ncols,) or (ncols, k).  Returns
+        Cartesian derivatives of shape (npts, 3) or (npts, 3, k); with
+        ``coeffs = np.eye(ncols)`` those of every basis field.
         """
         directions = np.atleast_2d(np.asarray(directions, dtype=float))
-        out = np.empty((self.npts, 3, self.ncols), dtype=complex)
-        ks = self.kappa_s
-        nu_s = self._to_spherical(directions)
-        radial = self._radial()
-        for n in range(self.nmax + 1):
-            cols_p, cols_n, cols_m = self._family_columns(n)
-            out[:, :, cols_p] = self._to_cartesian(self._matvec(self._degree_hess(n, shear=False), nu_s))
-            if n == 0:
-                continue
-            nn1 = n * (n + 1)
-            s_s, g_s = self._degree_grad(n, shear=True)
-            hnu = self._matvec(self._degree_hess(n, shear=True), nu_s)
-            # J_M . nu = (H nu) x  x + grad s x nu
-            jm = tuple(a + b for a, b in zip(self._cross(hnu, radial), self._cross(g_s, nu_s)))
-            np.multiply(ks**2 * self.ref_radius / nn1, self._to_cartesian(jm), out=out[:, :, cols_m])
-            # J_N . nu = 3 H nu + kappa^2 ((g . nu) x + s nu) + (r dH/dr) nu
-            gdotnu = g_s[0] * nu_s[0] + g_s[1] * nu_s[1] + g_s[2] * nu_s[2]
-            rhnu = self._matvec(self._degree_rhess(n), nu_s)
-            jn = tuple(3.0 * h + ks**2 * (gdotnu * x + s_s * v) + rh for h, x, v, rh in zip(hnu, radial, nu_s, rhnu))
-            np.divide(self._to_cartesian(jn), math.sqrt(nn1), out=out[:, :, cols_n])
-        return out.reshape(3 * self.npts, self.ncols)
+        nu = np.sum(self.frame * directions, axis=2)  # spherical components, (3, npts)
+        c = np.asarray(coeffs).reshape(self.ncols, -1)
+        step = max(1, 2**17 // (self.npts * (self.nmax + 1)))  # (nmax+1, k, npts) temporaries of 2 MB at most
+        chunks = [self._derivative_frame(nu, c[:, j : j + step]) for j in range(0, c.shape[1], step)]
+        sph = np.concatenate(chunks, axis=1)
+        out = np.einsum("cpi,cjp->pij", self.frame, sph)
+        return out[:, :, 0] if np.ndim(coeffs) == 1 else out
+
+    def _derivative_frame(self, nu: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """Spherical-frame components, shape (3, k, npts), of the derivatives
+        along ``nu`` (spherical components, (3, npts)) of the fields with
+        coefficient columns ``c``."""
+        nm, k, deg = self.nmodes, c.shape[1], self.nmax + 1
+        n = specfun.harmonic_columns(self.nmax)[0]
+        nn1 = n[1:] * (n[1:] + 1.0)
+        fam = np.zeros((3, k, nm), dtype=complex)  # E_P, E_N, E_M coefficients, c_N and c_M folded in
+        fam[0] = c[:nm].T
+        fam[1, :, 1:] = c[nm : 2 * nm - 1].T / np.sqrt(nn1)
+        fam[2, :, 1:] = c[2 * nm - 1 :].T * (self.kappa_s**2 * self.ref_radius / nn1)
+        fam = fam.reshape(3 * k, nm)
+        # every angular table contracted with each family's coefficients within each degree
+        tabs = []
+        for t in self.ang:
+            out = np.empty((3, deg, k, self.npts), dtype=complex)
+            for d in range(deg):
+                cols = slice(d * d, (d + 1) ** 2)
+                out[:, d] = (fam[:, cols] @ t[:, cols].T).reshape(3, k, self.npts)
+            tabs.append(out)
+        tab_p, tab_n, tab_m = ([t[f] for t in tabs] for f in range(3))
+        # everything below is (nmax+1, k, npts): the Hessian formulas once over the degree axis
+        r = self.r
+        f0, f1, f2, _ = (f[:, None, :] for f in self.rad_p)
+        d_p = _sym_matvec((f2, f1 / r - f0 / r**2, f0 / r**2, f1 / r), tab_p, nu)
+        f0, f1, f2, f3 = (f[:, None, :] for f in self.rad_s)
+        # J_M . nu = (H nu) x  x + grad s x nu
+        h_nu = _sym_matvec((f2, f1 / r - f0 / r**2, f0 / r**2, f1 / r), tab_m, nu)
+        g = (f1 * tab_m[0], f0 / r * tab_m[1], f0 / r * tab_m[2])
+        d_m = (
+            g[1] * nu[2] - g[2] * nu[1],
+            r * h_nu[2] + g[2] * nu[0] - g[0] * nu[2],
+            g[0] * nu[1] - g[1] * nu[0] - r * h_nu[1],
+        )
+        # J_N . nu = (3 H + r dH/dr) nu + kappa^2 ((grad s . nu) x + s nu)
+        ks2 = self.kappa_s**2
+        h_nu = _sym_matvec((3 * f2 + r * f3, f2 + f1 / r - f0 / r**2, f0 / r**2 + f1 / r, f2 + 2 * f1 / r), tab_n, nu)
+        g_nu = f1 * nu[0] * tab_n[0] + f0 / r * nu[1] * tab_n[1] + f0 / r * nu[2] * tab_n[2]
+        s = ks2 * f0 * tab_n[0]
+        d_n = (h_nu[0] + ks2 * r * g_nu + s * nu[0], h_nu[1] + s * nu[1], h_nu[2] + s * nu[2])
+        return np.stack([np.sum(a + b + e, axis=0) for a, b, e in zip(d_p, d_m, d_n)])
+
+
+def _sym_matvec(coef, tabs, v):
+    """H v for the symmetric spherical-frame matrix H with entries rr = a ya,
+    rt = b yt, rp = b yps, tt = c ytt + d ya, tp = c atp, pp = c app + d ya,
+    ``(a, b, c, d) = coef``: (f'', f'/r - f/r^2, f/r^2, f'/r) for the Hessian
+    of f(r) Y/R, (r f''', f'' - 2 f'/r + 2 f/r^2, f'/r - 2 f/r^2, f'' - f'/r) for its r d/dr.
+    """
+    a, b, c, d = coef
+    ya, yt, yps, ytt, atp, app = tabs
+    # each per-point factor is multiplied before the (nmax+1, k, npts) table it scales
+    return (
+        a * v[0] * ya + b * v[1] * yt + b * v[2] * yps,
+        b * v[0] * yt + c * v[1] * ytt + d * v[1] * ya + c * v[2] * atp,
+        b * v[0] * yps + c * v[1] * atp + c * v[2] * app + d * v[2] * ya,
+    )

@@ -299,7 +299,7 @@ def basis_gradient(basis: WaveBasis, vec: np.ndarray) -> np.ndarray:
     eye = np.eye(3)
     for l in range(3):
         d = np.broadcast_to(eye[l], (basis.npts, 3))
-        cols.append((basis.deriv_along(d) @ vec).reshape(basis.npts, 3))
+        cols.append(basis.directional_derivative(d, vec))
     return np.stack(cols, axis=2)
 
 
@@ -437,7 +437,9 @@ def basis_matrix_per_mode(basis):
 
 
 def basis_deriv_along_per_mode(basis, directions):
-    """``WaveBasis.deriv_along`` of ``basis``, one (n, m) column at a time."""
+    """Directional derivatives (d . grad) of every basis field of ``basis``, one
+    (n, m) column at a time: ``basis.directional_derivative(d, I)`` as a
+    (3 npts, ncols) matrix."""
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
     if directions.shape == (1, 3) and basis.npts > 1:
         directions = np.broadcast_to(directions, (basis.npts, 3))

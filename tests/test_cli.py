@@ -36,6 +36,10 @@ def measurement_file(tmp_path_factory):
 def test_option_parsers(tmp_path):
     assert _parse_medium("2,1") == (2.0, 1.0)
     assert _parse_freqs("1:5:1") == [1.0, 2.0, 3.0, 4.0, 5.0]
+    assert _parse_freqs("1:3:1") == [1.0, 2.0, 3.0]
+    # range values are the doubles nearest the decimal values, not a + i * step
+    assert _parse_freqs("1.1:3.3:1.1") == [1.1, 2.2, 3.3]
+    assert _parse_freqs("0.1:0.7:0.1") == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]
     assert _parse_freqs("1,2.5") == [1.0, 2.5]
     dirs = _parse_directions("preset:cube-faces")
     assert len(dirs) == 6

@@ -40,7 +40,7 @@ def test_directional_derivative_matches_fd(points, rng):
     wb = WaveBasis(KP, KS, R, 4, points)
     nu = rng.normal(size=points.shape)
     nu /= np.linalg.norm(nu, axis=1, keepdims=True)
-    analytic = wb.deriv_along(nu)
+    analytic = wb.directional_derivative(nu, np.eye(wb.ncols)).reshape(3 * points.shape[0], wb.ncols)
 
     def matrix_at(p):
         return WaveBasis(KP, KS, R, 4, p).matrix()
@@ -163,16 +163,21 @@ def test_electric_family_is_scaled_curl_of_magnetic(points):
 
 
 @pytest.mark.parametrize("nmax", [0, 1, 9, 14])
-def test_degree_assembly_bitwise_equals_per_mode_loop(nmax, rng):
-    # one loop over the degree runs the same arithmetic as the per-(n, m) loop
+def test_assembly_matches_per_mode_loop(nmax, rng):
+    # the spherical-frame closed forms and the degree-wise contraction are
+    # other arithmetic than the per-(n, m) loop, equal in exact arithmetic;
+    # measured: matrix within 4e-16, derivatives within 6e-16 of the largest entry
     npts = 3 * (nmax + 1) ** 2 + 5
     pts = rng.normal(size=(npts, 3))
     pts *= rng.uniform(0.55, 1.5, size=(npts, 1)) / np.linalg.norm(pts, axis=1, keepdims=True)
     pts[0] = (0.0, 0.0, 0.8)  # north pole: the pole-safe angular factors are exercised
     pts[1] = (0.0, 0.0, -1.2)
     wb = WaveBasis(KP, KS, R, nmax, pts)
-    np.testing.assert_array_equal(wb.matrix().view(np.uint64), basis_matrix_per_mode(wb).view(np.uint64))
+
+    def assert_close(new, oracle):
+        assert np.abs(new - oracle).max() <= 1e-14 * np.abs(oracle).max()
+
+    assert_close(wb.matrix(), basis_matrix_per_mode(wb))
     for nu in (rng.normal(size=(npts, 3)), np.array([[0.3, -0.5, 0.8]])):
-        np.testing.assert_array_equal(
-            wb.deriv_along(nu).view(np.uint64), basis_deriv_along_per_mode(wb, nu).view(np.uint64)
-        )
+        new = wb.directional_derivative(nu, np.eye(wb.ncols)).reshape(3 * npts, wb.ncols)
+        assert_close(new, basis_deriv_along_per_mode(wb, nu))
