@@ -136,9 +136,9 @@ class BoundarySystem:
     medium and truncation.
 
     ``a`` is the equilibrated matrix A: the basis in each sample point's
-    spherical frame (:meth:`WaveBasis.frame_matrix`), its rows scaled by the
-    square roots of the quadrature weights ``row_w`` and its columns by
-    ``colscale``.  From the R-only QR factorization A = Q R, ``right = R^-1``
+    spherical frame (``WaveBasis.matrix(spherical=True)``), its rows scaled
+    by the square roots of the quadrature weights ``row_w`` and its columns
+    by ``colscale``.  From the R-only QR factorization A = Q R, ``right = R^-1``
     and ``qh`` is None: no Q is formed, and every right-hand side is solved
     by corrected semi-normal equations with one refinement step against
     ``a``.  From the truncated SVD used for near-singular systems,
@@ -162,19 +162,27 @@ class BoundarySystem:
     rank: int
     condition: float
 
-    def weighted_data(self, values: np.ndarray) -> np.ndarray:
-        """Right-hand sides of Cartesian boundary values (npts, 3) or (npts, 3, k):
-        rotated into the spherical frames and row-weighted, shape (rows,) or (rows, k)."""
-        bw = self.basis.to_frame(values).reshape(self.row_w.shape[0], -1) * self.row_w[:, None]
-        return bw[:, 0] if values.ndim == 2 else bw
+    def coefficients(self, values: np.ndarray) -> np.ndarray:
+        """Least-squares coefficients for Cartesian boundary values of shape
+        (npts, 3) or (npts, 3, k); returns (ncols,) or (ncols, k)."""
+        return self._unscale(self._solve(values)[0])
 
-    def equilibrated_solve(self, bw: np.ndarray) -> np.ndarray:
-        """Least-squares solution y of A y = ``bw`` in the equilibrated unknowns,
-        (ncols,) or (ncols, k); the coefficients are ``y * colscale``."""
+    def _solve(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(y, bw)``: ``bw`` the right-hand sides, ``values`` rotated into
+        the spherical frames and row-weighted, and ``y`` the least-squares
+        solution of A y = bw in the equilibrated unknowns."""
+        bw = self.basis.to_frame(values).reshape((-1,) + values.shape[2:])
+        bw *= self.row_w.reshape((-1,) + (1,) * (bw.ndim - 1))
         if self.qh is not None:
-            return self.right @ (self.qh @ bw)
-        y = self._seminormal(bw)
-        y += self._seminormal(bw - self.a @ y)  # the one refinement step
+            y = self.right @ (self.qh @ bw)
+        else:
+            y = self._seminormal(bw)
+            y += self._seminormal(bw - self.a @ y)  # the one refinement step
+        return y, bw
+
+    def _unscale(self, y: np.ndarray) -> np.ndarray:
+        """The coefficients y * colscale of equilibrated unknowns ``y``, in place."""
+        y *= self.colscale.reshape((-1,) + (1,) * (y.ndim - 1))
         return y
 
     def _seminormal(self, bw: np.ndarray) -> np.ndarray:
@@ -302,9 +310,7 @@ class ScatteredSolution:
         ``data_values`` has shape (npts, 3) or (npts, 3, k); the returned
         coefficients have shape (ncols,) or (ncols, k).
         """
-        system = self.system
-        y = system.equilibrated_solve(system.weighted_data(data_values))
-        return y * system.colscale.reshape((-1,) + (1,) * (y.ndim - 1))
+        return self.system.coefficients(data_values)
 
     def resolve(self, dirichlet_data) -> "ScatteredSolution":
         """Solution for other Dirichlet data on the same system.
@@ -343,8 +349,7 @@ def _boundary_data(dirichlet_data, sample: BoundarySample) -> np.ndarray:
 def _fit(system: BoundarySystem, data: np.ndarray) -> ScatteredSolution:
     """Back-substitute boundary data through a factored system and check the residual."""
     sample = system.sample
-    bw = system.weighted_data(data)
-    y = system.equilibrated_solve(bw)
+    y, bw = system._solve(data)
 
     total_w = float(np.sum(sample.weights))
     resid_norm = float(np.linalg.norm(system.a @ y - bw))
@@ -357,7 +362,7 @@ def _fit(system: BoundarySystem, data: np.ndarray) -> ScatteredSolution:
             f"boundary residual {rel:.3e} (relative) exceeds tolerance {tol:.1e} "
             f"at truncation order {system.options.n_trunc}"
         )
-    return ScatteredSolution(system, y * system.colscale, rms, rel)
+    return ScatteredSolution(system, system._unscale(y), rms, rel)
 
 
 def solve_exterior_dirichlet(
@@ -386,7 +391,7 @@ def solve_exterior_dirichlet(
     data = _boundary_data(dirichlet_data, sample)
     basis = WaveBasis(med.kappa_p, med.kappa_s, radius, opts.n_trunc, sample.points)
     row_w = np.repeat(np.sqrt(sample.weights), 3)
-    a = basis.frame_matrix()
+    a = basis.matrix(spherical=True)
     a *= row_w[:, None]
     colnorm = np.linalg.norm(a, axis=0)
     colscale = np.where(colnorm > 0, 1.0 / colnorm, 0.0)

@@ -126,11 +126,22 @@ class WaveBasis:
         values = np.asarray(values)
         return np.matmul(self.frame.transpose(1, 0, 2), values.reshape(self.npts, 3, -1)).reshape(values.shape)
 
-    def frame_matrix(self) -> np.ndarray:
-        """Basis field values in each point's spherical frame, complex (3*npts, ncols),
-        rows stacked as ``(pt0_r, pt0_th, pt0_ph, pt1_r, ...)``.  The frame is
-        orthonormal: residuals against :meth:`to_frame` data are those of :meth:`matrix`.
+    def matrix(self, *, spherical: bool = False) -> np.ndarray:
+        """Basis field values: complex matrix of shape (3*npts, ncols).
+
+        Row blocks are the three components of each point stacked as
+        ``(pt0_x, pt0_y, pt0_z, pt1_x, ...)``; with ``spherical`` they are the
+        components along the point's (e_r, e_th, e_ph), of which the Cartesian
+        rows are the rotation.  That frame is orthonormal, so residuals
+        against :meth:`to_frame` data are those of the Cartesian matrix.
         """
+        sph = self._frame_matrix()
+        if not spherical:
+            sph = np.matmul(self.frame.transpose(1, 2, 0), sph)
+        return sph.reshape(3 * self.npts, self.ncols)
+
+    def _frame_matrix(self) -> np.ndarray:
+        """Spherical-frame basis field values, shape (npts, 3, ncols)."""
         nm = self.nmodes
         n = specfun.harmonic_columns(self.nmax)[0]
         ya, yt, yps = self.ang[:3]
@@ -159,17 +170,7 @@ class WaveBasis:
         rad = ((f1 + f0r) / np.sqrt(nn1)).T[:, cols]
         np.multiply(rad, yt, out=e_n[:, 1])
         np.multiply(rad, yps, out=e_n[:, 2])
-        return out.reshape(3 * self.npts, self.ncols)
-
-    def matrix(self) -> np.ndarray:
-        """Basis field values: complex matrix of shape (3*npts, ncols).
-
-        Row blocks are the Cartesian components of each point stacked as
-        ``(pt0_x, pt0_y, pt0_z, pt1_x, ...)``: :meth:`frame_matrix` rotated
-        point by point.
-        """
-        sph = self.frame_matrix().reshape(self.npts, 3, self.ncols)
-        return np.matmul(self.frame.transpose(1, 2, 0), sph).reshape(3 * self.npts, self.ncols)
+        return out
 
     def directional_derivative(self, directions: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
         """(d . grad) of the field with coefficient vector(s) ``coeffs``.
@@ -177,14 +178,12 @@ class WaveBasis:
         ``directions`` has shape (npts, 3) or (1, 3) for one direction at
         every point; ``coeffs`` has shape (ncols,) or (ncols, k).  Returns
         Cartesian derivatives of shape (npts, 3) or (npts, 3, k); with
-        ``coeffs = np.eye(ncols)`` those of every basis field.
+        ``coeffs = np.eye(ncols)`` those of every basis field.  Temporaries
+        are of size (nmax+1) * k * npts.
         """
         directions = np.atleast_2d(np.asarray(directions, dtype=float))
         nu = np.sum(self.frame * directions, axis=2)  # spherical components, (3, npts)
-        c = np.asarray(coeffs).reshape(self.ncols, -1)
-        step = max(1, 2**17 // (self.npts * (self.nmax + 1)))  # (nmax+1, k, npts) temporaries of 2 MB at most
-        chunks = [self._derivative_frame(nu, c[:, j : j + step]) for j in range(0, c.shape[1], step)]
-        sph = np.concatenate(chunks, axis=1)
+        sph = self._derivative_frame(nu, np.asarray(coeffs).reshape(self.ncols, -1))
         out = np.einsum("cpi,cjp->pij", self.frame, sph)
         return out[:, :, 0] if np.ndim(coeffs) == 1 else out
 

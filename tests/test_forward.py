@@ -216,7 +216,7 @@ def test_seminormal_solve_matches_lstsq(pwave):
     # a real boundary system (2166 x 673, cond_1(R) ~ 7.9e4) with the
     # right-hand sides of the shape Jacobian; without the refinement step the
     # semi-normal solution is far less accurate.  Errors are measured in the
-    # equilibrated unknowns, the ones the factorization solves for
+    # equilibrated unknowns c / colscale, the ones the factorization solves for
     med = modal.Medium(2.0, 1.0, 3.0)
     ell = geo.ellipsoid_coeffs(0.6, 0.75, 0.9, 1)
     sol = fw.solve_rigid_scattering(ell, pwave, med, R, fw.SolverOptions(n_trunc=14, quad_order=18, residual_tol=1e-2))
@@ -226,11 +226,12 @@ def test_seminormal_solve_matches_lstsq(pwave):
     q = geo.perturbation_q_table(ell, sol.sample)
     q = q[np.any(q != 0, axis=1)]
     dnu = dv.normal_derivative_total_field(sol, pwave)
-    bw = system.weighted_data(-(q[:, :, None] * dnu[None, :, :]).transpose(1, 2, 0))
+    values = -(q[:, :, None] * dnu[None, :, :]).transpose(1, 2, 0)
+    bw = system.basis.to_frame(values).reshape(-1, q.shape[0]) * system.row_w[:, None]
 
     a = system.a
     ref = np.linalg.lstsq(a, bw, rcond=None)[0]
-    err = np.linalg.norm(system.equilibrated_solve(bw) - ref) / np.linalg.norm(ref)
+    err = np.linalg.norm(system.coefficients(values) / system.colscale[:, None] - ref) / np.linalg.norm(ref)
     unrefined = system.right @ (system.right.conj().T @ (a.conj().T @ bw))
     err_unrefined = np.linalg.norm(unrefined - ref) / np.linalg.norm(ref)
     assert err <= 1e-11
