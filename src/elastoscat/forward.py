@@ -11,14 +11,18 @@ The least-squares system is assembled once, in each boundary point's
 spherical frame (a rotation of a point's rows changes no residual, so the
 Dirichlet data is rotated instead), row-weighted and column-norm
 equilibrated in place (Hankel growth across orders makes the raw columns
-badly scaled), and factored by a Householder QR that forms R only, never
-Q.  Right-hand sides are solved by corrected semi-normal equations (CSNE:
-y = R^-1 R^-H A^H b) followed by exactly one refinement step with the
-residual b - A y, which brings the accuracy back to that of a QR solve
-(A. Bjorck, Linear Algebra Appl. 88/89 (1987) 31-48).  Only a system whose
-condition estimate says a truncated SVD could drop a singular value (or
-one with fewer rows than columns) is factored by that truncated SVD
-instead, which keeps its U_k^H.
+badly scaled).  Its Gram matrix A^H A comes from one real symmetric
+product, and its diagonal gives the column norms; the upper-triangular R
+with R^H R = A^H A is the Cholesky factor of that Gram matrix, so no Q is
+formed.  Right-hand sides are solved by corrected semi-normal equations
+(CSNE: y = R^-1 R^-H A^H b) followed by exactly one refinement step with
+the residual b - A y, which brings the accuracy back to that of a QR solve
+(A. Bjorck, Linear Algebra Appl. 88/89 (1987) 31-48) as long as
+cond(R)^2 eps is small.  Past that, or when the Cholesky fails, R comes
+from a Householder QR that forms R only (such a system pays Gram,
+Cholesky and QR, about 1.5 times a QR alone).  Only a system whose R says
+a truncated SVD could drop a singular value (or one with fewer rows than
+columns) is factored by that truncated SVD instead, which keeps its U_k^H.
 """
 
 from __future__ import annotations
@@ -41,6 +45,9 @@ class SolverError(RuntimeError):
 
 
 _SVD_CUTOFF = 1e-12  # relative singular-value cutoff of the truncated SVD (see _factor)
+# Largest cond_1(R)^2 eps for which one CSNE refinement step on the Cholesky R
+# still matches a QR solve (cond_1 up to about 6.7e6); see _factor.
+_CHOLESKY_LIMIT = 1e-2
 
 
 @dataclass(frozen=True)
@@ -138,12 +145,14 @@ class BoundarySystem:
     ``a`` is the equilibrated matrix A: the basis in each sample point's
     spherical frame (``WaveBasis.matrix(spherical=True)``), its rows scaled
     by the square roots of the quadrature weights ``row_w`` and its columns
-    by ``colscale``.  From the R-only QR factorization A = Q R, ``right = R^-1``
-    and ``qh`` is None: no Q is formed, and every right-hand side is solved
-    by corrected semi-normal equations with one refinement step against
-    ``a``.  From the truncated SVD used for near-singular systems,
-    ``qh = U_k^H`` and ``right = V_k S_k^-1`` over the ``rank`` singular
-    values kept, and the solution operator is ``right @ qh``.
+    by ``colscale``.  With R upper triangular and R^H R = A^H A (the Cholesky
+    factor of the Gram matrix, or the R of a Householder QR for systems too
+    ill-conditioned for it), ``right = R^-1`` and ``qh`` is None: no Q is
+    formed, and every right-hand side is solved by corrected semi-normal
+    equations with one refinement step against ``a``.  From the truncated
+    SVD used for near-singular systems, ``qh = U_k^H`` and
+    ``right = V_k S_k^-1`` over the ``rank`` singular values kept, and the
+    solution operator is ``right @ qh``.
     ``condition`` is the 1-norm condition number of R, or the ratio of the
     largest to the smallest kept singular value.  Nothing here depends on
     the Dirichlet data, so one system serves the forward field of every
@@ -230,27 +239,60 @@ def _triu_inverse(r: np.ndarray) -> np.ndarray:
     return out
 
 
-def _factor(a: np.ndarray, svd_cutoff: float) -> tuple[np.ndarray | None, np.ndarray, int, float]:
-    """``(qh, right, rank, condition)`` of an equilibrated matrix ``a``.
+def _gram(a: np.ndarray) -> np.ndarray:
+    """A^H A of a complex matrix from one real symmetric product.
 
-    QR forming R only, with ``qh`` None, ``right`` = R^-1 from a triangular
-    inverse, and ``condition`` the 1-norm condition number of R.  Since
-    cond_2 <= n cond_1 for an n x n matrix, a truncated SVD with relative
-    cutoff ``svd_cutoff`` keeps every singular value when
-    ``n * condition * svd_cutoff < 1``; otherwise, or when there are fewer
-    rows than columns or R is singular, the truncated SVD is used, with
-    ``qh = U_k^H`` and ``right = V_k S_k^-1``.
+    With V = [Re A, Im A] interleaved column by column (``a.view(float)``),
+    H = V^T V holds Re A^T Re A, Re A^T Im A, Im A^T Re A and Im A^T Im A as
+    its four strided blocks; numpy forms H by a syrk, at about half the
+    flops of the complex product.
+    """
+    v = a.view(float)
+    h = v.T @ v
+    g = np.empty((a.shape[1],) * 2, dtype=complex)
+    np.add(h[0::2, 0::2], h[1::2, 1::2], out=g.real)
+    np.subtract(h[0::2, 1::2], h[1::2, 0::2], out=g.imag)
+    return g
+
+
+def _inverse_and_condition(r: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """``(R^-1, cond_1(R))`` of an upper-triangular R, or None when R is exactly singular."""
+    try:
+        r_inv = _triu_inverse(r)
+    except np.linalg.LinAlgError:
+        return None
+    return r_inv, float(np.linalg.norm(r, 1) * np.linalg.norm(r_inv, 1))
+
+
+def _factor(a: np.ndarray, gram: np.ndarray, svd_cutoff: float) -> tuple[np.ndarray | None, np.ndarray, int, float]:
+    """``(qh, right, rank, condition)`` of an equilibrated matrix ``a`` with
+    Gram matrix ``gram`` = A^H A.
+
+    R is the upper-triangular Cholesky factor of ``gram``, ``qh`` is None,
+    ``right`` = R^-1 from a triangular inverse and ``condition`` the 1-norm
+    condition number of R.  One CSNE refinement step recovers the accuracy
+    of a QR solve only while cond(R)^2 eps is small, so when the Cholesky
+    fails or ``condition**2 * eps`` exceeds ``_CHOLESKY_LIMIT``, R is taken
+    from a Householder QR of ``a`` that forms R only.  The columns have unit
+    norm, so s_max <= sqrt(cols) and s_min >= 1 / ||R^-1||_F: a truncated SVD
+    with relative cutoff ``svd_cutoff`` keeps every singular value when
+    ``sqrt(cols) * ||R^-1||_F * svd_cutoff < 1``.  Otherwise, or when there
+    are fewer rows than columns or R is singular, the truncated SVD is used,
+    with ``qh = U_k^H`` and ``right = V_k S_k^-1``.
     """
     rows, cols = a.shape
     if rows >= cols:
-        r = np.linalg.qr(a, mode="r")
         try:
-            r_inv = _triu_inverse(r)
+            low = np.linalg.cholesky(gram)
         except np.linalg.LinAlgError:
-            pass  # exactly singular R: the truncated SVD below finds the rank
+            kept = None  # not numerically positive definite: the QR below decides
         else:
-            condition = float(np.linalg.norm(r, 1) * np.linalg.norm(r_inv, 1))
-            if cols * condition * svd_cutoff < 1:
+            kept = _inverse_and_condition(np.conjugate(low, out=low).T)
+        if kept is None or not kept[1] * kept[1] * np.finfo(float).eps <= _CHOLESKY_LIMIT:  # a NaN falls back too
+            kept = _inverse_and_condition(np.linalg.qr(a, mode="r"))
+        if kept is not None:
+            r_inv, condition = kept
+            if math.sqrt(cols) * np.linalg.norm(r_inv) * svd_cutoff < 1:
                 return None, r_inv, cols, condition
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     rank = int(np.count_nonzero((s >= svd_cutoff * s[0]) & (s > 0)))
@@ -393,10 +435,13 @@ def solve_exterior_dirichlet(
     row_w = np.repeat(np.sqrt(sample.weights), 3)
     a = basis.matrix(spherical=True)
     a *= row_w[:, None]
-    colnorm = np.linalg.norm(a, axis=0)
+    gram = _gram(a)
+    colnorm = np.sqrt(gram.diagonal().real)
     colscale = np.where(colnorm > 0, 1.0 / colnorm, 0.0)
     a *= colscale
-    qh, right, rank, condition = _factor(a, _SVD_CUTOFF)
+    gram *= colscale[:, None]
+    gram *= colscale  # the Gram matrix of the equilibrated a
+    qh, right, rank, condition = _factor(a, gram, _SVD_CUTOFF)
     system = BoundarySystem(sample, basis, med, opts, qh, right, colscale, row_w, a, rank, condition)
     return _fit(system, data)
 

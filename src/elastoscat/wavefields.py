@@ -32,6 +32,8 @@ to (x . grad) Hess = r d/dr Hess.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from . import specfun
@@ -51,32 +53,15 @@ def _radial_tables(nmax: int, kappa: float, r: np.ndarray, ref_radius: float):
 
 
 def _angular_tables(nmax: int, theta: np.ndarray, phi: np.ndarray, ref_radius: float):
-    """Angular factors of the scalar modes X = Y/R and their derivatives.
+    """Angular factors of the scalar modes X = Y/R and their first derivatives.
 
     Returns arrays of shape (npts, (nmax+1)^2):
       ya   = Y/R
       yt   = d(Y/R)/dth
       yps  = (1/sin th) d(Y/R)/dph
-      ytt  = d^2(Y/R)/dth^2
-      atp  = (1/sin th) (d_th d_ph - cot th d_ph)(Y/R)
-      app  = (1/sin^2 th) d^2_ph (Y/R) + cot th * d_th (Y/R)
     """
     y, dy, dps = specfun.sph_harmonic_tables(nmax, theta, phi)
-    sinth = np.sin(theta)[:, None]
-    costh = np.cos(theta)[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cot = np.where(sinth != 0, costh / sinth, 0.0)
-        inv_sin = np.where(sinth != 0, 1.0 / sinth, 0.0)
-    n, m = specfun.harmonic_columns(nmax)
-    mvals = m.astype(float)  # float: -(m**2) is then -0.0 at m = 0, a sign bit the outputs carry
-    nn1 = n * (n + 1.0)
-    ya = y / ref_radius
-    yt = dy / ref_radius
-    yps = dps / ref_radius
-    ytt = -cot * yt + (mvals**2 * inv_sin**2 - nn1) * ya
-    atp = (-1j * mvals) * inv_sin * (yt - cot * ya)
-    app = -(mvals**2) * inv_sin**2 * ya + cot * yt
-    return ya, yt, yps, ytt, atp, app
+    return y / ref_radius, dy / ref_radius, dps / ref_radius
 
 
 class WaveBasis:
@@ -99,10 +84,33 @@ class WaveBasis:
         self.points = points
         self.npts = points.shape[0]
         self.r = r
+        self.theta = theta
         self.frame = np.stack(spherical_frame(theta, phi))  # (e_r, e_t, e_p), shape (3, npts, 3)
         self.ang = _angular_tables(nmax, theta, phi, ref_radius)
         self.rad_p = _radial_tables(nmax, kappa_p, r, ref_radius)
         self.rad_s = _radial_tables(nmax, kappa_s, r, ref_radius)
+
+    @cached_property
+    def ang2(self) -> tuple:
+        """Second-order angular factors of X = Y/R, shape (npts, (nmax+1)^2)
+        each, built on first use (only :meth:`directional_derivative` reads them):
+          ytt  = d^2(Y/R)/dth^2
+          atp  = (1/sin th) (d_th d_ph - cot th d_ph)(Y/R)
+          app  = (1/sin^2 th) d^2_ph (Y/R) + cot th * d_th (Y/R)
+        """
+        ya, yt = self.ang[:2]
+        sinth = np.sin(self.theta)[:, None]
+        costh = np.cos(self.theta)[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cot = np.where(sinth != 0, costh / sinth, 0.0)
+            inv_sin = np.where(sinth != 0, 1.0 / sinth, 0.0)
+        n, m = specfun.harmonic_columns(self.nmax)
+        mvals = m.astype(float)  # float: -(m**2) is then -0.0 at m = 0, a sign bit the outputs carry
+        nn1 = n * (n + 1.0)
+        ytt = -cot * yt + (mvals**2 * inv_sin**2 - nn1) * ya
+        atp = (-1j * mvals) * inv_sin * (yt - cot * ya)
+        app = -(mvals**2) * inv_sin**2 * ya + cot * yt
+        return ytt, atp, app
 
     @property
     def nmodes(self) -> int:
@@ -144,7 +152,7 @@ class WaveBasis:
         """Spherical-frame basis field values, shape (npts, 3, ncols)."""
         nm = self.nmodes
         n = specfun.harmonic_columns(self.nmax)[0]
-        ya, yt, yps = self.ang[:3]
+        ya, yt, yps = self.ang
         out = np.empty((self.npts, 3, self.ncols), dtype=complex)
         e_p, e_n, e_m = out[:, :, :nm], out[:, :, nm : 2 * nm - 1], out[:, :, 2 * nm - 1 :]
         # E_P = (f1 Y, f0/r dY/dth, f0/r dY/dph / sin th), radial factors gathered per column
@@ -201,7 +209,7 @@ class WaveBasis:
         fam = fam.reshape(3 * k, nm)
         # every angular table contracted with each family's coefficients within each degree
         tabs = []
-        for t in self.ang:
+        for t in self.ang + self.ang2:
             out = np.empty((3, deg, k, self.npts), dtype=complex)
             for d in range(deg):
                 cols = slice(d * d, (d + 1) ** 2)

@@ -191,15 +191,16 @@ def test_resolve_equals_fresh_solve(med_std, pwave):
 
 
 def test_factorization_paths_agree(med_std, pwave, monkeypatch):
-    # the cutoff 1e-4 makes n * cond_1(R) * cutoff >= 1, so the truncated SVD
-    # factors the system; its condition (~3e3) is below 1e4, so it truncates nothing
+    # the cutoff 1e-4 makes sqrt(n) * ||R^-1||_F * cutoff >= 1 (about 1.9), so
+    # the truncated SVD factors the system; its condition (~3e3) is below 1e4,
+    # so it truncates nothing
     ell = geo.ellipsoid_coeffs(0.6, 0.75, 0.9, 1)
     qr = fw.solve_rigid_scattering(ell, pwave, med_std, R, fw.SolverOptions(n_trunc=8, residual_tol=0.05))
     monkeypatch.setattr(fw, "_SVD_CUTOFF", 1e-4)
     svd = fw.solve_rigid_scattering(ell, pwave, med_std, R, fw.SolverOptions(n_trunc=8, residual_tol=0.05))
     ncols = qr.basis.ncols
     assert qr.rank == svd.rank == ncols
-    assert ncols * qr.condition * 1e-4 >= 1 and svd.condition < 1e4
+    assert math.sqrt(ncols) * np.linalg.norm(qr.system.right) * 1e-4 >= 1 and svd.condition < 1e4
     # R^-1 is upper triangular; V_k S_k^-1 is not
     assert np.all(np.tril(qr.system.right, -1) == 0)
     assert not np.all(np.tril(svd.system.right, -1) == 0)
@@ -212,11 +213,12 @@ def test_factorization_paths_agree(med_std, pwave, monkeypatch):
 
 
 def test_seminormal_solve_matches_lstsq(pwave):
-    # CSNE with one refinement step against a dense least-squares reference on
-    # a real boundary system (2166 x 673, cond_1(R) ~ 7.9e4) with the
-    # right-hand sides of the shape Jacobian; without the refinement step the
-    # semi-normal solution is far less accurate.  Errors are measured in the
-    # equilibrated unknowns c / colscale, the ones the factorization solves for
+    # CSNE on the Cholesky R of the Gram matrix, with one refinement step,
+    # against a dense least-squares reference on a real boundary system
+    # (2166 x 673, cond_1(R) ~ 7.9e4) with the right-hand sides of the shape
+    # Jacobian; without the refinement step the semi-normal solution is far
+    # less accurate.  Errors are measured in the equilibrated unknowns
+    # c / colscale, the ones the factorization solves for
     med = modal.Medium(2.0, 1.0, 3.0)
     ell = geo.ellipsoid_coeffs(0.6, 0.75, 0.9, 1)
     sol = fw.solve_rigid_scattering(ell, pwave, med, R, fw.SolverOptions(n_trunc=14, quad_order=18, residual_tol=1e-2))
@@ -285,9 +287,42 @@ def test_singular_system_takes_truncated_svd(rng):
     x = rng.standard_normal(6) + 0j
     x[2] = 0.0
     with pytest.warns(UserWarning, match="rank-deficient"):
-        qh, right, rank, condition = fw._factor(a, 1e-12)
+        qh, right, rank, condition = fw._factor(a, fw._gram(a), 1e-12)
     assert rank == 5 and qh.shape == (5, 40) and math.isfinite(condition)
     np.testing.assert_allclose(right @ (qh @ (a @ x)), x, atol=1e-13)
+
+
+def _csne(a, right, b):
+    """Corrected semi-normal solution with one refinement step, as BoundarySystem solves."""
+    y = right @ (right.conj().T @ (a.conj().T @ b))
+    return y + right @ (right.conj().T @ (a.conj().T @ (b - a @ y)))
+
+
+def test_ill_conditioned_system_falls_back_to_householder_r():
+    # unit-norm columns with singular values spread over 10^6.5: cond_1(R)^2 eps
+    # (5.1e-2) exceeds the Cholesky limit, and one refinement step on the
+    # Cholesky R no longer recovers a QR solve, so _factor must keep the
+    # Householder R.  Measured: error 4.0e-11, the Cholesky R's 505 times that
+    # (over seeds 0-29 at most 6e-11, and at least 211 times); at a spread of
+    # 10^8 the QR solve and lstsq already differ by about 7e-10
+    rng = np.random.default_rng(5)
+
+    def orthonormal(m, n):
+        return np.linalg.qr(rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))[0]
+
+    a = (orthonormal(300, 80) * np.logspace(0, -6.5, 80)) @ orthonormal(80, 80).conj().T
+    a /= np.linalg.norm(a, axis=0)
+    b = a @ (rng.standard_normal(80) + 1j * rng.standard_normal(80))
+    gram = fw._gram(a)
+    cholesky_r = np.linalg.cholesky(gram).conj().T
+    qh, right, rank, condition = fw._factor(a, gram, 1e-12)
+    assert qh is None and rank == 80
+    assert condition**2 * np.finfo(float).eps > fw._CHOLESKY_LIMIT
+    ref = np.linalg.lstsq(a, b, rcond=None)[0]
+    err = np.linalg.norm(_csne(a, right, b) - ref) / np.linalg.norm(ref)
+    err_cholesky = np.linalg.norm(_csne(a, fw._triu_inverse(cholesky_r), b) - ref) / np.linalg.norm(ref)
+    assert err <= 1e-10
+    assert err_cholesky >= 100 * err
 
 
 def test_resolve_checks_its_own_residual(med_std, pwave, rng):

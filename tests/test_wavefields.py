@@ -58,6 +58,16 @@ def test_directional_derivative_matches_fd(points, rng):
     assert np.abs(fd - analytic).max() < 1e-7 * scale
 
 
+def test_second_order_tables_built_only_for_derivatives(points):
+    # the field values need first derivatives of Y only; ytt, atp and app are
+    # built on the first directional derivative
+    wb = WaveBasis(KP, KS, R, 4, points)
+    wb.matrix()
+    assert "ang2" not in vars(wb)
+    wb.directional_derivative(points, np.ones(wb.ncols))
+    assert len(vars(wb)["ang2"]) == 3
+
+
 def test_gradient_matches_fd(points, rng):
     wb = WaveBasis(KP, KS, R, 3, points)
     vec = rng.standard_normal(wb.ncols) + 1j * rng.standard_normal(wb.ncols)
