@@ -115,7 +115,7 @@ def objective_and_gradient(
                 sol = first[key].resolve_incident(ds.incident)
             else:
                 sol = first[key] = solve_rigid_scattering(sp, ds.incident, ds.med, ds.radius, options)
-        except (SolverError, GeometryError, DomainError, np.linalg.LinAlgError) as exc:
+        except (SolverError, GeometryError, DomainError) as exc:
             raise ObjectiveError(f"forward evaluation failed: {exc}") from exc
         r = (sol.measure(ds.incident, ds.points).u - ds.u).reshape(-1)
         f += 0.5 * float(np.real(np.vdot(r, r)))

@@ -20,16 +20,15 @@ the residual b - A y, which brings the accuracy back to that of a QR solve
 (A. Bjorck, Linear Algebra Appl. 88/89 (1987) 31-48) as long as
 cond(R)^2 eps is small.  Past that, or when the Cholesky fails, R comes
 from a Householder QR that forms R only (such a system pays Gram,
-Cholesky and QR, about 1.5 times a QR alone).  Only a system whose R says
-a truncated SVD could drop a singular value (or one with fewer rows than
-columns) is factored by that truncated SVD instead, which keeps its U_k^H.
+Cholesky and QR, about 1.5 times a QR alone).  The fit is meaningful only
+with full column rank, so a system whose R cannot rule out a singular
+value below a relative cutoff raises :class:`SolverError`.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
@@ -44,7 +43,7 @@ class SolverError(RuntimeError):
     """Forward solve failed to reach the requested boundary residual."""
 
 
-_SVD_CUTOFF = 1e-12  # relative singular-value cutoff of the truncated SVD (see _factor)
+_RANK_CUTOFF = 1e-12  # smallest relative singular value of a full-rank system (see _factor)
 # Largest cond_1(R)^2 eps for which one CSNE refinement step on the Cholesky R
 # still matches a QR solve (cond_1 up to about 6.7e6); see _factor.
 _CHOLESKY_LIMIT = 1e-2
@@ -116,7 +115,9 @@ class SolverOptions:
     of every solve (about 3.8 rows per column; ``n_trunc + 2`` conditions
     the equilibrated system ten times worse).  ``residual_tol`` is the
     relative boundary residual beyond which the solve is reported as not
-    converged.
+    converged.  ``resolve`` raises :class:`ValueError` when ``quad_order``
+    is below ``n_trunc``, so every boundary system has more rows than
+    columns.
     """
 
     n_trunc: int | None = None
@@ -126,6 +127,8 @@ class SolverOptions:
     def resolve(self, med: Medium, radius: float) -> "SolverOptions":
         n = self.n_trunc if self.n_trunc is not None else default_truncation(med.kappa_s, radius)
         q = self.quad_order if self.quad_order is not None else n + 4
+        if q < n:
+            raise ValueError(f"quadrature order {q} is below the truncation order {n}")
         return replace(self, n_trunc=n, quad_order=q)
 
 
@@ -147,28 +150,22 @@ class BoundarySystem:
     by the square roots of the quadrature weights ``row_w`` and its columns
     by ``colscale``.  With R upper triangular and R^H R = A^H A (the Cholesky
     factor of the Gram matrix, or the R of a Householder QR for systems too
-    ill-conditioned for it), ``right = R^-1`` and ``qh`` is None: no Q is
-    formed, and every right-hand side is solved by corrected semi-normal
-    equations with one refinement step against ``a``.  From the truncated
-    SVD used for near-singular systems, ``qh = U_k^H`` and
-    ``right = V_k S_k^-1`` over the ``rank`` singular values kept, and the
-    solution operator is ``right @ qh``.
-    ``condition`` is the 1-norm condition number of R, or the ratio of the
-    largest to the smallest kept singular value.  Nothing here depends on
-    the Dirichlet data, so one system serves the forward field of every
-    incident wave and every domain-derivative column on that surface.
+    ill-conditioned for it), ``right = R^-1``: no Q is formed, and every
+    right-hand side is solved by corrected semi-normal equations with one
+    refinement step against ``a``.  ``condition`` is the 1-norm condition
+    number of R.  Nothing here depends on the Dirichlet data, so one system
+    serves the forward field of every incident wave and every
+    domain-derivative column on that surface.
     """
 
     sample: BoundarySample
     basis: WaveBasis
     med: Medium
     options: SolverOptions
-    qh: np.ndarray | None
     right: np.ndarray
     colscale: np.ndarray
     row_w: np.ndarray
     a: np.ndarray
-    rank: int
     condition: float
 
     def coefficients(self, values: np.ndarray) -> np.ndarray:
@@ -182,11 +179,8 @@ class BoundarySystem:
         solution of A y = bw in the equilibrated unknowns."""
         bw = self.basis.to_frame(values).reshape((-1,) + values.shape[2:])
         bw *= self.row_w.reshape((-1,) + (1,) * (bw.ndim - 1))
-        if self.qh is not None:
-            y = self.right @ (self.qh @ bw)
-        else:
-            y = self._seminormal(bw)
-            y += self._seminormal(bw - self.a @ y)  # the one refinement step
+        y = self._seminormal(bw)
+        y += self._seminormal(bw - self.a @ y)  # the one refinement step
         return y, bw
 
     def _unscale(self, y: np.ndarray) -> np.ndarray:
@@ -255,55 +249,45 @@ def _gram(a: np.ndarray) -> np.ndarray:
     return g
 
 
-def _inverse_and_condition(r: np.ndarray) -> tuple[np.ndarray, float] | None:
-    """``(R^-1, cond_1(R))`` of an upper-triangular R, or None when R is exactly singular."""
-    try:
-        r_inv = _triu_inverse(r)
-    except np.linalg.LinAlgError:
-        return None
+def _inverse_and_condition(r: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(R^-1, cond_1(R))`` of an upper-triangular R; raises
+    :class:`numpy.linalg.LinAlgError` when R is exactly singular."""
+    r_inv = _triu_inverse(r)
     return r_inv, float(np.linalg.norm(r, 1) * np.linalg.norm(r_inv, 1))
 
 
-def _factor(a: np.ndarray, gram: np.ndarray, svd_cutoff: float) -> tuple[np.ndarray | None, np.ndarray, int, float]:
-    """``(qh, right, rank, condition)`` of an equilibrated matrix ``a`` with
-    Gram matrix ``gram`` = A^H A.
+def _factor(a: np.ndarray, gram: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(R^-1, cond_1(R))`` of an equilibrated matrix ``a`` with Gram matrix
+    ``gram`` = A^H A and at least as many rows as columns.
 
-    R is the upper-triangular Cholesky factor of ``gram``, ``qh`` is None,
-    ``right`` = R^-1 from a triangular inverse and ``condition`` the 1-norm
-    condition number of R.  One CSNE refinement step recovers the accuracy
-    of a QR solve only while cond(R)^2 eps is small, so when the Cholesky
-    fails or ``condition**2 * eps`` exceeds ``_CHOLESKY_LIMIT``, R is taken
-    from a Householder QR of ``a`` that forms R only.  The columns have unit
-    norm, so s_max <= sqrt(cols) and s_min >= 1 / ||R^-1||_F: a truncated SVD
-    with relative cutoff ``svd_cutoff`` keeps every singular value when
-    ``sqrt(cols) * ||R^-1||_F * svd_cutoff < 1``.  Otherwise, or when there
-    are fewer rows than columns or R is singular, the truncated SVD is used,
-    with ``qh = U_k^H`` and ``right = V_k S_k^-1``.
+    R is the upper-triangular Cholesky factor of ``gram``.  One CSNE
+    refinement step recovers the accuracy of a QR solve only while
+    cond(R)^2 eps is small, so when the Cholesky fails or
+    ``cond_1(R)**2 * eps`` exceeds ``_CHOLESKY_LIMIT``, R is taken from a
+    Householder QR of ``a`` that forms R only.  The columns have unit norm,
+    so s_max <= sqrt(cols) and s_min >= 1 / ||R^-1||_F: the system has no
+    singular value below ``_RANK_CUTOFF`` times the largest when
+    ``sqrt(cols) * ||R^-1||_F * _RANK_CUTOFF < 1``.  Otherwise, or when R is
+    exactly singular, :class:`SolverError` is raised.
     """
-    rows, cols = a.shape
-    if rows >= cols:
+    cols = a.shape[1]
+    try:
+        low = np.linalg.cholesky(gram)
+        r_inv, condition = _inverse_and_condition(np.conjugate(low, out=low).T)
+    except np.linalg.LinAlgError:
+        condition = math.nan  # not numerically positive definite: the QR below decides
+    if not condition * condition * np.finfo(float).eps <= _CHOLESKY_LIMIT:  # a NaN falls back too
         try:
-            low = np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError:
-            kept = None  # not numerically positive definite: the QR below decides
-        else:
-            kept = _inverse_and_condition(np.conjugate(low, out=low).T)
-        if kept is None or not kept[1] * kept[1] * np.finfo(float).eps <= _CHOLESKY_LIMIT:  # a NaN falls back too
-            kept = _inverse_and_condition(np.linalg.qr(a, mode="r"))
-        if kept is not None:
-            r_inv, condition = kept
-            if math.sqrt(cols) * np.linalg.norm(r_inv) * svd_cutoff < 1:
-                return None, r_inv, cols, condition
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    rank = int(np.count_nonzero((s >= svd_cutoff * s[0]) & (s > 0)))
-    if rank < s.shape[0]:
-        warnings.warn(
-            f"boundary system rank-deficient beyond cutoff: rank {rank}/{s.shape[0]}, "
-            f"condition {s[0] / s[-1]:.3e}",
-            stacklevel=3,
+            r_inv, condition = _inverse_and_condition(np.linalg.qr(a, mode="r"))
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"boundary system of {cols} columns is rank-deficient: R is singular") from exc
+    rank_test = math.sqrt(cols) * np.linalg.norm(r_inv) * _RANK_CUTOFF
+    if not rank_test < 1:  # a NaN fails too
+        raise SolverError(
+            f"boundary system of {cols} columns is rank-deficient: sqrt(cols) ||R^-1||_F "
+            f"times the cutoff {_RANK_CUTOFF:.0e} is {rank_test:.3e}, condition {condition:.3e}"
         )
-    condition = float(s[0] / s[rank - 1]) if rank else math.inf
-    return u[:, :rank].conj().T, vh[:rank].conj().T / s[:rank], rank, condition
+    return r_inv, condition
 
 
 @dataclass
@@ -336,7 +320,10 @@ class ScatteredSolution:
 
     @property
     def rank(self) -> int:
-        return self.system.rank
+        """Always ``basis.ncols``: a rank-deficient system raises
+        :class:`SolverError`.  Kept only for perfbench's ``rank_deficient``
+        metric."""
+        return self.basis.ncols
 
     @property
     def condition(self) -> float:
@@ -441,8 +428,8 @@ def solve_exterior_dirichlet(
     a *= colscale
     gram *= colscale[:, None]
     gram *= colscale  # the Gram matrix of the equilibrated a
-    qh, right, rank, condition = _factor(a, gram, _SVD_CUTOFF)
-    system = BoundarySystem(sample, basis, med, opts, qh, right, colscale, row_w, a, rank, condition)
+    right, condition = _factor(a, gram)
+    system = BoundarySystem(sample, basis, med, opts, right, colscale, row_w, a, condition)
     return _fit(system, data)
 
 

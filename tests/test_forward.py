@@ -109,6 +109,8 @@ def test_default_quadrature_order_is_n_trunc_plus_4(med_std):
         resolved = opts.resolve(med_std, R)
         assert resolved.quad_order == resolved.n_trunc + 4
     assert fw.SolverOptions(n_trunc=7, quad_order=9).resolve(med_std, R).quad_order == 9
+    with pytest.raises(ValueError):  # fewer rows than columns
+        fw.SolverOptions(n_trunc=8, quad_order=3).resolve(med_std, R)
 
 
 def test_sphere_dense_matches_block_oracle(med_std, pwave):
@@ -190,26 +192,20 @@ def test_resolve_equals_fresh_solve(med_std, pwave):
         assert again.system is base.system
 
 
-def test_factorization_paths_agree(med_std, pwave, monkeypatch):
+def test_rank_deficient_system_raises(med_std, pwave, monkeypatch):
     # the cutoff 1e-4 makes sqrt(n) * ||R^-1||_F * cutoff >= 1 (about 1.9), so
-    # the truncated SVD factors the system; its condition (~3e3) is below 1e4,
-    # so it truncates nothing
+    # the solve cannot rule out a singular value below the cutoff: it raises,
+    # and the objective turns that into a rejected step
     ell = geo.ellipsoid_coeffs(0.6, 0.75, 0.9, 1)
-    qr = fw.solve_rigid_scattering(ell, pwave, med_std, R, fw.SolverOptions(n_trunc=8, residual_tol=0.05))
-    monkeypatch.setattr(fw, "_SVD_CUTOFF", 1e-4)
-    svd = fw.solve_rigid_scattering(ell, pwave, med_std, R, fw.SolverOptions(n_trunc=8, residual_tol=0.05))
-    ncols = qr.basis.ncols
-    assert qr.rank == svd.rank == ncols
-    assert math.sqrt(ncols) * np.linalg.norm(qr.system.right) * 1e-4 >= 1 and svd.condition < 1e4
-    # R^-1 is upper triangular; V_k S_k^-1 is not
-    assert np.all(np.tril(qr.system.right, -1) == 0)
-    assert not np.all(np.tril(svd.system.right, -1) == 0)
-    np.testing.assert_allclose(svd.coeff_vector, qr.coeff_vector, rtol=0, atol=1e-12 * np.abs(qr.coeff_vector).max())
-    w = fw.IncidentWave("s", (0.0, 0.0, -1.0), (1.0, 0.0, 0.0))
-    again = svd.resolve_incident(w)
-    fresh = fw.solve_rigid_scattering(ell, w, med_std, R, fw.SolverOptions(n_trunc=8, residual_tol=0.05))
-    np.testing.assert_array_equal(again.coeff_vector, fresh.coeff_vector)
-    assert (again.residual_rel, again.rank, again.condition) == (fresh.residual_rel, fresh.rank, fresh.condition)
+    opts = fw.SolverOptions(n_trunc=8, residual_tol=0.05)
+    sol = fw.solve_rigid_scattering(ell, pwave, med_std, R, opts)
+    assert math.sqrt(sol.basis.ncols) * np.linalg.norm(sol.system.right) * 1e-4 >= 1
+    ms = sol.measure(pwave, fw.fibonacci_sphere(20, R))
+    monkeypatch.setattr(fw, "_RANK_CUTOFF", 1e-4)
+    with pytest.raises(fw.SolverError, match="rank-deficient"):
+        fw.solve_rigid_scattering(ell, pwave, med_std, R, opts)
+    with pytest.raises(dv.ObjectiveError, match="rank-deficient"):
+        dv.objective_and_gradient(ell, [ms], opts)
 
 
 def test_seminormal_solve_matches_lstsq(pwave):
@@ -223,7 +219,7 @@ def test_seminormal_solve_matches_lstsq(pwave):
     ell = geo.ellipsoid_coeffs(0.6, 0.75, 0.9, 1)
     sol = fw.solve_rigid_scattering(ell, pwave, med, R, fw.SolverOptions(n_trunc=14, quad_order=18, residual_tol=1e-2))
     system = sol.system
-    assert system.qh is None and system.a.shape == (2166, 673)
+    assert system.a.shape == (2166, 673)
     assert 5e4 < system.condition < 2e5
     q = geo.perturbation_q_table(ell, sol.sample)
     q = q[np.any(q != 0, axis=1)]
@@ -269,27 +265,12 @@ def test_triangular_inverse(rng, n):
     assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
-def test_underdetermined_system_takes_svd_path(med_std, pwave):
-    # quad_order 3 samples 32 nodes: 96 rows for the 241 columns of n_trunc 8
-    ell = geo.ellipsoid_coeffs(0.6, 0.75, 0.9, 1)
-    sol = fw.solve_rigid_scattering(
-        ell, pwave, med_std, R, fw.SolverOptions(n_trunc=8, quad_order=3, residual_tol=1.0)
-    )
-    assert (3 * sol.sample.npts, sol.basis.ncols) == (96, 241)
-    assert sol.rank == 96
-    assert sol.system.qh.shape == (96, 96)
-
-
-def test_singular_system_takes_truncated_svd(rng):
-    # a zero column makes R exactly singular; the SVD drops that direction and warns
+def test_singular_system_raises(rng):
+    # a zero column makes R exactly singular
     a = rng.standard_normal((40, 6)) + 1j * rng.standard_normal((40, 6))
     a[:, 2] = 0.0
-    x = rng.standard_normal(6) + 0j
-    x[2] = 0.0
-    with pytest.warns(UserWarning, match="rank-deficient"):
-        qh, right, rank, condition = fw._factor(a, fw._gram(a), 1e-12)
-    assert rank == 5 and qh.shape == (5, 40) and math.isfinite(condition)
-    np.testing.assert_allclose(right @ (qh @ (a @ x)), x, atol=1e-13)
+    with pytest.raises(fw.SolverError, match="rank-deficient"):
+        fw._factor(a, fw._gram(a))
 
 
 def _csne(a, right, b):
@@ -315,8 +296,7 @@ def test_ill_conditioned_system_falls_back_to_householder_r():
     b = a @ (rng.standard_normal(80) + 1j * rng.standard_normal(80))
     gram = fw._gram(a)
     cholesky_r = np.linalg.cholesky(gram).conj().T
-    qh, right, rank, condition = fw._factor(a, gram, 1e-12)
-    assert qh is None and rank == 80
+    right, condition = fw._factor(a, gram)
     assert condition**2 * np.finfo(float).eps > fw._CHOLESKY_LIMIT
     ref = np.linalg.lstsq(a, b, rcond=None)[0]
     err = np.linalg.norm(_csne(a, right, b) - ref) / np.linalg.norm(ref)
