@@ -11,18 +11,22 @@ The least-squares system is assembled once, in each boundary point's
 spherical frame (a rotation of a point's rows changes no residual, so the
 Dirichlet data is rotated instead), row-weighted and column-norm
 equilibrated in place (Hankel growth across orders makes the raw columns
-badly scaled).  Its Gram matrix A^H A comes from one real symmetric
-product, and its diagonal gives the column norms; the upper-triangular R
+badly scaled).  Its Gram matrix A^H A is built block by block from real
+products, and its diagonal gives the column norms; the upper-triangular R
 with R^H R = A^H A is the Cholesky factor of that Gram matrix, so no Q is
-formed.  Right-hand sides are solved by corrected semi-normal equations
-(CSNE: y = R^-1 R^-H A^H b) followed by exactly one refinement step with
-the residual b - A y, which brings the accuracy back to that of a QR solve
-(A. Bjorck, Linear Algebra Appl. 88/89 (1987) 31-48) as long as
-cond(R)^2 eps is small.  Past that, or when the Cholesky fails, R comes
-from a Householder QR that forms R only (such a system pays Gram,
-Cholesky and QR, about 1.5 times a QR alone).  The fit is meaningful only
-with full column rank, so a system whose R cannot rule out a singular
-value below a relative cutoff raises :class:`SolverError`.
+formed.  Gram matrix, Cholesky factor (blocked by panels of ``_PANEL``
+columns, F. G. Gustavson, IBM J. Res. Dev. 41 (1997) 737-755) and R^-1
+occupy one n x n buffer in turn, each written over the one before, and no
+temporary exceeds a quarter of that buffer: a solve holds A plus one
+n x n matrix.  Right-hand sides are solved by
+corrected semi-normal equations (CSNE: y = R^-1 R^-H A^H b) followed by
+exactly one refinement step with the residual b - A y, which brings the
+accuracy back to that of a QR solve (A. Bjorck, Linear Algebra Appl.
+88/89 (1987) 31-48) as long as cond(R)^2 eps is small.  Past that, or when
+the Cholesky fails, R comes from a Householder QR that forms R only (such
+a system pays Gram, Cholesky and QR, about 1.5 times a QR alone).  The fit
+is meaningful only with full column rank, so a system whose R cannot rule
+out a singular value below a relative cutoff raises :class:`SolverError`.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -47,6 +51,7 @@ _RANK_CUTOFF = 1e-12  # smallest relative singular value of a full-rank system (
 # Largest cond_1(R)^2 eps for which one CSNE refinement step on the Cholesky R
 # still matches a QR solve (cond_1 up to about 6.7e6); see _factor.
 _CHOLESKY_LIMIT = 1e-2
+_PANEL = 128  # columns per Cholesky panel
 
 
 @dataclass(frozen=True)
@@ -150,11 +155,12 @@ class BoundarySystem:
     by the square roots of the quadrature weights ``row_w`` and its columns
     by ``colscale``.  With R upper triangular and R^H R = A^H A (the Cholesky
     factor of the Gram matrix, or the R of a Householder QR for systems too
-    ill-conditioned for it), ``right = R^-1``: no Q is formed, and every
-    right-hand side is solved by corrected semi-normal equations with one
-    refinement step against ``a``.  ``condition`` is the 1-norm condition
-    number of R.  Nothing here depends on the Dirichlet data, so one system
-    serves the forward field of every incident wave and every
+    ill-conditioned for it), ``right = R^-1`` and is the system's only n x n
+    matrix: no Q is formed, R^-H is applied through ``right`` itself, and
+    every right-hand side is solved by corrected semi-normal equations with
+    one refinement step against ``a``.  ``condition`` is the 1-norm
+    condition number of R.  Nothing here depends on the Dirichlet data, so
+    one system serves the forward field of every incident wave and every
     domain-derivative column on that surface.
     """
 
@@ -189,14 +195,11 @@ class BoundarySystem:
         return y
 
     def _seminormal(self, bw: np.ndarray) -> np.ndarray:
-        """R^-1 R^-H A^H bw: the semi-normal solution."""
-        atb = np.conjugate(self.a.T @ np.conjugate(bw))  # A^H bw without a copy of A^H
-        return self.right @ (self._right_h @ atb)
+        """R^-1 R^-H A^H bw: the semi-normal solution.
 
-    @cached_property
-    def _right_h(self) -> np.ndarray:
-        """R^-H, contiguous, formed once per system."""
-        return np.conjugate(self.right.T, order="C")
+        R^-H A^H bw is formed as conj(R^-T A^T conj(bw)), so neither A^H nor
+        R^-H is ever copied."""
+        return self.right @ np.conjugate(self.right.T @ (self.a.T @ np.conjugate(bw)))
 
     def measurement_matrix(self, points: np.ndarray) -> np.ndarray:
         """Basis field values at exterior points, (3 npts, ncols), read-only.
@@ -213,7 +216,7 @@ class BoundarySystem:
 
 
 def _triu_inverse(r: np.ndarray) -> np.ndarray:
-    """Inverse of an upper-triangular matrix, exactly upper triangular.
+    """Overwrite an upper-triangular matrix with its inverse and return it.
 
     Recursive 2 x 2 blocking: inv([[R11, R12], [0, R22]]) is
     [[X11, -X11 R12 X22], [0, X22]] with X11, X22 the inverses of the
@@ -222,57 +225,108 @@ def _triu_inverse(r: np.ndarray) -> np.ndarray:
     """
     n = r.shape[0]
     if n <= 64:
-        return np.triu(np.linalg.inv(r))
+        r[...] = np.triu(np.linalg.inv(r))
+        return r
     k = n // 2
     x11 = _triu_inverse(r[:k, :k])
     x22 = _triu_inverse(r[k:, k:])
-    out = np.zeros_like(r)
-    out[:k, :k] = x11
-    out[k:, k:] = x22
-    out[:k, k:] = -(x11 @ r[:k, k:]) @ x22
-    return out
+    t = x11 @ r[:k, k:]
+    np.matmul(np.negative(t, out=t), x22, out=r[:k, k:])
+    return r
 
 
 def _gram(a: np.ndarray) -> np.ndarray:
-    """A^H A of a complex matrix from one real symmetric product.
+    """A^H A of a complex matrix from real products of three column blocks.
 
     With V = [Re A, Im A] interleaved column by column (``a.view(float)``),
-    H = V^T V holds Re A^T Re A, Re A^T Im A, Im A^T Re A and Im A^T Im A as
-    its four strided blocks; numpy forms H by a syrk, at about half the
-    flops of the complex product.
+    H = V_i^T V_j of the columns of blocks i and j holds Re^T Re, Re^T Im,
+    Im^T Re and Im^T Im as its four strided blocks.  Only the blocks on and
+    below the diagonal are formed, by three syrk (numpy's product of a
+    matrix with its own transpose, at half the flops of a general one) and
+    three gemm; the blocks above it stay zero.  One H of at most
+    (2 ceil(n/3))^2 reals, about a quarter of G's bytes, exists at a time.
+    Two blocks would need half of G's bytes; blocks of 128 columns took
+    17-19 % longer than one product at n = 673 and 1450 (one BLAS thread),
+    three blocks 1-6 %.
     """
+    n = a.shape[1]
+    w = -(-n // 3)
     v = a.view(float)
-    h = v.T @ v
-    g = np.empty((a.shape[1],) * 2, dtype=complex)
-    np.add(h[0::2, 0::2], h[1::2, 1::2], out=g.real)
-    np.subtract(h[0::2, 1::2], h[1::2, 0::2], out=g.imag)
+    g = np.zeros((n, n), dtype=complex)
+    for j in range(0, n, w):
+        vj = v[:, 2 * j : 2 * (j + w)]
+        for i in range(j, n, w):
+            h = v[:, 2 * i : 2 * (i + w)].T @ vj
+            block = g[i : i + w, j : j + w]
+            np.add(h[0::2, 0::2], h[1::2, 1::2], out=block.real)
+            np.subtract(h[0::2, 1::2], h[1::2, 0::2], out=block.imag)
+            del h  # before the next product is formed
     return g
 
 
+def _cholesky(g: np.ndarray) -> np.ndarray:
+    """Overwrite a Hermitian positive-definite ``g`` with its lower Cholesky
+    factor L (G = L L^H, strict upper triangle zero) and return it; only the
+    lower triangle of ``g`` is read.
+
+    Right-looking, a panel of ``_PANEL`` columns at a time:
+    ``np.linalg.cholesky`` factors the diagonal block L11, the panel below
+    is L21 = G21 L11^-H, and the trailing lower triangle takes -L21 L21^H
+    one column block at a time.  Raises :class:`numpy.linalg.LinAlgError`
+    when G is not numerically positive definite, with ``g`` then partly
+    overwritten.
+    """
+    n = g.shape[0]
+    for j in range(0, n, _PANEL):
+        k = j + _PANEL
+        low = np.linalg.cholesky(g[j:k, j:k])
+        g[j:k, j:k] = low
+        g[j:k, k:] = 0.0
+        if k >= n:
+            break
+        # L21 = G21 L11^-H, i.e. conj(L11) L21^T = G21^T.  Reversing rows and
+        # columns makes conj(L11) upper triangular, so the LU inside
+        # np.linalg.solve swaps and eliminates nothing: the solve is a back
+        # substitution, as backward stable as a triangular solve
+        flipped = np.linalg.solve(np.conjugate(low[::-1, ::-1]), g[k:, j:k].T[::-1])
+        g[k:, j:k] = flipped[::-1].T
+        panel = g[k:, j:k]
+        for i in range(k, n, _PANEL):
+            g[i:, i : i + _PANEL] -= panel[i - k :] @ np.conjugate(panel[i - k : i - k + _PANEL]).T
+    return g
+
+
+def _norm1(r: np.ndarray) -> float:
+    """``np.linalg.norm(r, 1)`` without forming |r| whole: a panel of columns at a time."""
+    return max(float(np.abs(r[:, j : j + _PANEL]).sum(axis=0).max()) for j in range(0, r.shape[1], _PANEL))
+
+
 def _inverse_and_condition(r: np.ndarray) -> tuple[np.ndarray, float]:
-    """``(R^-1, cond_1(R))`` of an upper-triangular R; raises
-    :class:`numpy.linalg.LinAlgError` when R is exactly singular."""
+    """``(R^-1, cond_1(R))`` of an upper-triangular R, with R^-1 written over
+    R; raises :class:`numpy.linalg.LinAlgError` when R is exactly singular."""
+    r_norm = _norm1(r)
     r_inv = _triu_inverse(r)
-    return r_inv, float(np.linalg.norm(r, 1) * np.linalg.norm(r_inv, 1))
+    return r_inv, r_norm * _norm1(r_inv)
 
 
 def _factor(a: np.ndarray, gram: np.ndarray) -> tuple[np.ndarray, float]:
     """``(R^-1, cond_1(R))`` of an equilibrated matrix ``a`` with Gram matrix
-    ``gram`` = A^H A and at least as many rows as columns.
+    ``gram`` = A^H A (its lower triangle) and at least as many rows as
+    columns.
 
-    R is the upper-triangular Cholesky factor of ``gram``.  One CSNE
-    refinement step recovers the accuracy of a QR solve only while
-    cond(R)^2 eps is small, so when the Cholesky fails or
-    ``cond_1(R)**2 * eps`` exceeds ``_CHOLESKY_LIMIT``, R is taken from a
-    Householder QR of ``a`` that forms R only.  The columns have unit norm,
-    so s_max <= sqrt(cols) and s_min >= 1 / ||R^-1||_F: the system has no
-    singular value below ``_RANK_CUTOFF`` times the largest when
-    ``sqrt(cols) * ||R^-1||_F * _RANK_CUTOFF < 1``.  Otherwise, or when R is
-    exactly singular, :class:`SolverError` is raised.
+    R is the upper-triangular Cholesky factor of ``gram``, and R^-1 is
+    written over ``gram``'s buffer.  One CSNE refinement step recovers the
+    accuracy of a QR solve only while cond(R)^2 eps is small, so when the
+    Cholesky fails or ``cond_1(R)**2 * eps`` exceeds ``_CHOLESKY_LIMIT``, R is
+    taken from a Householder QR of ``a`` that forms R only.  The columns
+    have unit norm, so s_max <= sqrt(cols) and s_min >= 1 / ||R^-1||_F: the
+    system has no singular value below ``_RANK_CUTOFF`` times the largest
+    when ``sqrt(cols) * ||R^-1||_F * _RANK_CUTOFF < 1``.  Otherwise, or when
+    R is exactly singular, :class:`SolverError` is raised.
     """
     cols = a.shape[1]
     try:
-        low = np.linalg.cholesky(gram)
+        low = _cholesky(gram)
         r_inv, condition = _inverse_and_condition(np.conjugate(low, out=low).T)
     except np.linalg.LinAlgError:
         condition = math.nan  # not numerically positive definite: the QR below decides
@@ -520,8 +574,7 @@ class MeasurementSet:
 
     def save(self, path) -> None:
         with open(path, "w") as f:
-            json.dump(self.to_json_dict(), f)
-            f.write("\n")
+            f.write(json.dumps(self.to_json_dict()) + "\n")  # json.dump would run the pure-Python encoder
 
     @classmethod
     def load(cls, path) -> "MeasurementSet":

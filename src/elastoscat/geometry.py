@@ -109,8 +109,7 @@ class SurfaceParam:
 
     def save(self, path) -> None:
         with open(path, "w") as f:
-            json.dump(self.to_json_dict(), f)
-            f.write("\n")
+            f.write(json.dumps(self.to_json_dict()) + "\n")  # json.dump would run the pure-Python encoder
 
     @classmethod
     def load(cls, path) -> "SurfaceParam":

@@ -60,8 +60,10 @@ def _angular_tables(nmax: int, theta: np.ndarray, phi: np.ndarray, ref_radius: f
       yt   = d(Y/R)/dth
       yps  = (1/sin th) d(Y/R)/dph
     """
-    y, dy, dps = specfun.sph_harmonic_tables(nmax, theta, phi)
-    return y / ref_radius, dy / ref_radius, dps / ref_radius
+    tables = specfun.sph_harmonic_tables(nmax, theta, phi)
+    for t in tables:
+        t /= ref_radius  # in place: no second set of (npts, nmodes) arrays
+    return tables
 
 
 class WaveBasis:

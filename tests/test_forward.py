@@ -1,4 +1,7 @@
+import io
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -257,10 +260,59 @@ def test_frame_solve_matches_cartesian_lstsq(med_std, pwave):
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130, 298])
 def test_triangular_inverse(rng, n):
     r = np.linalg.qr(rng.standard_normal((2 * n, n)) + 1j * rng.standard_normal((2 * n, n)), mode="r")
-    x = fw._triu_inverse(r)
+    r_copy = r.copy()
+    x = fw._triu_inverse(r_copy)
+    assert np.shares_memory(x, r_copy)  # written over its input
     assert np.all(np.tril(x, -1) == 0)
     ref = np.linalg.inv(r)
     assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 300])
+def test_blocked_gram_and_cholesky(rng, n):
+    # Cholesky panels of 128 columns: one panel, exactly one, one plus a
+    # single column, and three uneven panels
+    a = rng.standard_normal((2 * n + 3, n)) + 1j * rng.standard_normal((2 * n + 3, n))
+    ref_gram = a.conj().T @ a
+    gram = fw._gram(a)
+    assert np.linalg.norm(np.tril(gram - ref_gram)) <= 1e-13 * np.linalg.norm(ref_gram)
+    ref = np.linalg.cholesky(ref_gram)
+    low = fw._cholesky(gram)
+    assert np.shares_memory(low, gram)  # written over its input
+    assert np.all(np.triu(low, 1) == 0)  # R = L^H: its strict lower triangle is exactly zero
+    assert np.linalg.norm(low - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_blocked_cholesky_rejects_indefinite_matrix(rng):
+    # the trailing block turns indefinite only after two panels' updates
+    n = 300
+    x = rng.standard_normal((n + 5, n)) + 1j * rng.standard_normal((n + 5, n))
+    g = x.conj().T @ x
+    g[-1, -1] = -1.0
+    with pytest.raises(np.linalg.LinAlgError):
+        fw._cholesky(g)
+
+
+def test_solve_holds_one_square_matrix_besides_a(pwave):
+    # one solve of the 2166 x 673 system holds A, the basis tables and the one
+    # n x n buffer of Gram matrix, Cholesky factor and R^-1, with temporaries
+    # of at most half an n x n matrix besides (measured: 1.29 n^2 in all);
+    # with a separate Gram, factor, inverse and R^-H it peaked at 4.04 n^2
+    med = modal.Medium(2.0, 1.0, 3.0)
+    ell = geo.ellipsoid_coeffs(0.6, 0.75, 0.9, 1)
+    opts = fw.SolverOptions(n_trunc=14, quad_order=18, residual_tol=1e-2)
+    tracemalloc.start()
+    try:
+        sol = fw.solve_rigid_scattering(ell, pwave, med, R, opts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    system = sol.system
+    b = system.basis
+    n = b.ncols
+    assert system.a.shape == (2166, n)
+    tables = sum(t.nbytes for t in (*b.ang, *b.rad_p, *b.rad_s, b.frame))
+    assert peak <= system.a.nbytes + tables + 1.5 * n * n * 16
 
 
 def test_underdetermined_system_raises(med_std, pwave):
@@ -483,6 +535,20 @@ def test_measurement_json_roundtrip(tmp_path, med_std, pwave, rng):
     np.testing.assert_array_equal(back.points, ms.points)
     assert back.med == ms.med and back.incident == ms.incident
     assert back.delta == 0.05 and back.seed == 3
+
+
+def test_save_writes_json_dump_bytes(tmp_path, med_std, pwave, rng):
+    pts = fw.fibonacci_sphere(10, R)
+    u = rng.standard_normal((10, 3)) + 1j * rng.standard_normal((10, 3))
+    ms = fw.MeasurementSet(R, med_std, pwave, pts, u, delta=0.05, seed=3)
+    sp = geo.ellipsoid_coeffs(0.6, 0.75, 0.9, 2)
+    for obj in (ms, sp):
+        ref = io.StringIO()
+        json.dump(obj.to_json_dict(), ref)
+        ref.write("\n")
+        path = tmp_path / "saved.json"
+        obj.save(path)
+        assert path.read_bytes() == ref.getvalue().encode()
 
 
 def test_measurement_point_validation(med_std, pwave):
