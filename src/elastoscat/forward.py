@@ -9,24 +9,26 @@ boundary residual is always reported so failures are visible).
 
 The least-squares system is assembled once, in each boundary point's
 spherical frame (a rotation of a point's rows changes no residual, so the
-Dirichlet data is rotated instead), row-weighted and column-norm
-equilibrated in place (Hankel growth across orders makes the raw columns
-badly scaled).  Its Gram matrix A^H A is built block by block from real
-products, and its diagonal gives the column norms; the upper-triangular R
-with R^H R = A^H A is the Cholesky factor of that Gram matrix, so no Q is
+Dirichlet data is rotated instead), row-weighted and handed to
+``_factor``.  That equilibrates its columns in place (Hankel growth across
+orders makes the raw columns badly scaled) and returns R^-1, with R the
+upper-triangular Cholesky factor of the Gram matrix A^H A, so no Q is
 formed.  Gram matrix, Cholesky factor (blocked by panels of ``_PANEL``
 columns, F. G. Gustavson, IBM J. Res. Dev. 41 (1997) 737-755) and R^-1
 occupy one n x n buffer in turn, each written over the one before, and no
 temporary exceeds a quarter of that buffer: a solve holds A plus one
-n x n matrix.  Right-hand sides are solved by
-corrected semi-normal equations (CSNE: y = R^-1 R^-H A^H b) followed by
-exactly one refinement step with the residual b - A y, which brings the
-accuracy back to that of a QR solve (A. Bjorck, Linear Algebra Appl.
-88/89 (1987) 31-48) as long as cond(R)^2 eps is small.  Past that, or when
-the Cholesky fails, R comes from a Householder QR that forms R only (such
-a system pays Gram, Cholesky and QR, about 1.5 times a QR alone).  The fit
-is meaningful only with full column rank, so a system whose R cannot rule
-out a singular value below a relative cutoff raises :class:`SolverError`.
+n x n matrix.  Right-hand sides are solved by corrected semi-normal
+equations (CSNE: y = R^-1 R^-H A^H b) followed by exactly one refinement
+step with the residual b - A y, which brings the accuracy back to that of
+a QR solve (A. Bjorck, Linear Algebra Appl. 88/89 (1987) 31-48) as long as
+cond_2(A)^2 eps is small.  One number, kappa = sqrt(cols) ||R^-1||_F (an
+upper bound on cond_2(A)), is the reported condition and decides the
+rest: past a limit on kappa^2 eps, or when the Cholesky fails, the buffer
+is dropped and R comes from a Householder QR that forms R only (such a
+system pays Gram, Cholesky and QR, about 1.5 times a QR alone).  The fit
+is meaningful only with full column rank, so a system whose kappa cannot
+rule out a singular value below a relative cutoff raises
+:class:`SolverError`.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ class SolverError(RuntimeError):
 
 
 _RANK_CUTOFF = 1e-12  # smallest relative singular value of a full-rank system (see _factor)
-# Largest cond_1(R)^2 eps for which one CSNE refinement step on the Cholesky R
-# still matches a QR solve (cond_1 up to about 6.7e6); see _factor.
+# Largest kappa^2 eps for which one CSNE refinement step on the Cholesky R
+# still matches a QR solve (kappa up to about 6.7e6); see _factor.
 _CHOLESKY_LIMIT = 1e-2
 _PANEL = 128  # columns per Cholesky panel
 
@@ -158,10 +160,12 @@ class BoundarySystem:
     ill-conditioned for it), ``right = R^-1`` and is the system's only n x n
     matrix: no Q is formed, R^-H is applied through ``right`` itself, and
     every right-hand side is solved by corrected semi-normal equations with
-    one refinement step against ``a``.  ``condition`` is the 1-norm
-    condition number of R.  Nothing here depends on the Dirichlet data, so
-    one system serves the forward field of every incident wave and every
-    domain-derivative column on that surface.
+    one refinement step against ``a``.  ``condition`` is kappa =
+    sqrt(cols) ||R^-1||_F, the Frobenius condition number of R and an upper
+    bound on cond_2(A); ``_factor`` computes all of these but ``row_w``.
+    Nothing here depends on the Dirichlet data, so one system serves the
+    forward field of every incident wave and every domain-derivative column
+    on that surface.
     """
 
     sample: BoundarySample
@@ -173,11 +177,6 @@ class BoundarySystem:
     row_w: np.ndarray
     a: np.ndarray
     condition: float
-
-    def coefficients(self, values: np.ndarray) -> np.ndarray:
-        """Least-squares coefficients for Cartesian boundary values of shape
-        (npts, 3) or (npts, 3, k); returns (ncols,) or (ncols, k)."""
-        return self._unscale(self._solve(values)[0])
 
     def _solve(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(y, bw)``: ``bw`` the right-hand sides, ``values`` rotated into
@@ -296,52 +295,51 @@ def _cholesky(g: np.ndarray) -> np.ndarray:
     return g
 
 
-def _norm1(r: np.ndarray) -> float:
-    """``np.linalg.norm(r, 1)`` without forming |r| whole: a panel of columns at a time."""
-    return max(float(np.abs(r[:, j : j + _PANEL]).sum(axis=0).max()) for j in range(0, r.shape[1], _PANEL))
+def _factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """``(R^-1, colscale, kappa)`` of a row-weighted boundary matrix ``a``
+    with at least as many rows as columns, which is equilibrated in place.
 
-
-def _inverse_and_condition(r: np.ndarray) -> tuple[np.ndarray, float]:
-    """``(R^-1, cond_1(R))`` of an upper-triangular R, with R^-1 written over
-    R; raises :class:`numpy.linalg.LinAlgError` when R is exactly singular."""
-    r_norm = _norm1(r)
-    r_inv = _triu_inverse(r)
-    return r_inv, r_norm * _norm1(r_inv)
-
-
-def _factor(a: np.ndarray, gram: np.ndarray) -> tuple[np.ndarray, float]:
-    """``(R^-1, cond_1(R))`` of an equilibrated matrix ``a`` with Gram matrix
-    ``gram`` = A^H A (its lower triangle) and at least as many rows as
-    columns.
-
-    R is the upper-triangular Cholesky factor of ``gram``, and R^-1 is
-    written over ``gram``'s buffer.  One CSNE refinement step recovers the
-    accuracy of a QR solve only while cond(R)^2 eps is small, so when the
-    Cholesky fails or ``cond_1(R)**2 * eps`` exceeds ``_CHOLESKY_LIMIT``, R is
-    taken from a Householder QR of ``a`` that forms R only.  The columns
-    have unit norm, so s_max <= sqrt(cols) and s_min >= 1 / ||R^-1||_F: the
-    system has no singular value below ``_RANK_CUTOFF`` times the largest
-    when ``sqrt(cols) * ||R^-1||_F * _RANK_CUTOFF < 1``.  Otherwise, or when
-    R is exactly singular, :class:`SolverError` is raised.
+    The Gram matrix A^H A of ``a`` fills one n x n buffer.  Its diagonal
+    gives the column norms, whose inverses are ``colscale`` (0 for a zero
+    column), and ``a`` and the Gram matrix are scaled to unit-norm columns.
+    R is the upper-triangular Cholesky factor of the Gram matrix, and R^-1
+    is written over the buffer.  With unit-norm columns ||R||_F = sqrt(cols),
+    so kappa = sqrt(cols) ||R^-1||_F is the Frobenius condition number of R
+    and bounds cond_2(A) from above.  One CSNE refinement step recovers the
+    accuracy of a QR solve only while cond_2(A)^2 eps is small, so when the
+    Cholesky fails or ``kappa**2 * eps`` exceeds ``_CHOLESKY_LIMIT``, the
+    buffer is dropped and R is taken from a Householder QR of ``a`` that
+    forms R only.  Since s_max <= sqrt(cols) and s_min >= 1 / ||R^-1||_F,
+    the system has no singular value below ``_RANK_CUTOFF`` times the
+    largest when ``kappa * _RANK_CUTOFF < 1``.  Otherwise, or when R is
+    exactly singular, :class:`SolverError` is raised.
     """
     cols = a.shape[1]
+    gram = _gram(a)
+    colnorm = np.sqrt(gram.diagonal().real)
+    colscale = np.divide(1.0, colnorm, out=np.zeros_like(colnorm), where=colnorm > 0)
+    a *= colscale
+    gram *= colscale[:, None]
+    gram *= colscale
     try:
-        low = _cholesky(gram)
-        r_inv, condition = _inverse_and_condition(np.conjugate(low, out=low).T)
+        r_inv = _triu_inverse(np.conjugate(_cholesky(gram), out=gram).T)
+        condition = math.sqrt(cols) * np.linalg.norm(r_inv)
     except np.linalg.LinAlgError:
-        condition = math.nan  # not numerically positive definite: the QR below decides
+        r_inv, condition = None, math.nan  # not numerically positive definite: the QR below decides
+    del gram  # r_inv now holds the buffer's only reference
     if not condition * condition * np.finfo(float).eps <= _CHOLESKY_LIMIT:  # a NaN falls back too
+        r_inv = None  # drop the buffer before the QR copies a
         try:
-            r_inv, condition = _inverse_and_condition(np.linalg.qr(a, mode="r"))
+            r_inv = _triu_inverse(np.linalg.qr(a, mode="r"))
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"boundary system of {cols} columns is rank-deficient: R is singular") from exc
-    rank_test = math.sqrt(cols) * np.linalg.norm(r_inv) * _RANK_CUTOFF
-    if not rank_test < 1:  # a NaN fails too
+        condition = math.sqrt(cols) * np.linalg.norm(r_inv)
+    if not condition * _RANK_CUTOFF < 1:  # a NaN fails too
         raise SolverError(
-            f"boundary system of {cols} columns is rank-deficient: sqrt(cols) ||R^-1||_F "
-            f"times the cutoff {_RANK_CUTOFF:.0e} is {rank_test:.3e}, condition {condition:.3e}"
+            f"boundary system of {cols} columns is rank-deficient: kappa = sqrt(cols) ||R^-1||_F "
+            f"is {condition:.3e}, at or past 1 / {_RANK_CUTOFF:.0e}"
         )
-    return r_inv, condition
+    return r_inv, colscale, condition
 
 
 @dataclass
@@ -380,10 +378,6 @@ class ScatteredSolution:
         return self.basis.ncols
 
     @property
-    def condition(self) -> float:
-        return self.system.condition
-
-    @property
     def potentials(self) -> PotentialCoeffs:
         return PotentialCoeffs(self.order, self.basis.potentials_from_vector(self.coeff_vector))
 
@@ -393,7 +387,8 @@ class ScatteredSolution:
         ``data_values`` has shape (npts, 3) or (npts, 3, k); the returned
         coefficients have shape (ncols,) or (ncols, k).
         """
-        return self.system.coefficients(data_values)
+        system = self.system
+        return system._unscale(system._solve(data_values)[0])
 
     def resolve(self, dirichlet_data) -> "ScatteredSolution":
         """Solution for other Dirichlet data on the same system.
@@ -476,13 +471,7 @@ def solve_exterior_dirichlet(
     row_w = np.repeat(np.sqrt(sample.weights), 3)
     a = basis.matrix(spherical=True)
     a *= row_w[:, None]
-    gram = _gram(a)
-    colnorm = np.sqrt(gram.diagonal().real)
-    colscale = np.where(colnorm > 0, 1.0 / colnorm, 0.0)
-    a *= colscale
-    gram *= colscale[:, None]
-    gram *= colscale  # the Gram matrix of the equilibrated a
-    right, condition = _factor(a, gram)
+    right, colscale, condition = _factor(a)
     system = BoundarySystem(sample, basis, med, opts, right, colscale, row_w, a, condition)
     return _fit(system, data)
 
@@ -538,10 +527,6 @@ class MeasurementSet:
             raise ValueError(
                 f"measurement values of shape {self.u.shape} do not match points of shape {self.points.shape}"
             )
-
-    @property
-    def k(self) -> int:
-        return self.points.shape[0]
 
     def to_json_dict(self) -> dict:
         return {

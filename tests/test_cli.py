@@ -215,7 +215,7 @@ def test_synth_writes_parseable_deterministic_files(runner, tmp_path):
     assert res.exit_code == 0
     path = tmp_path / "a" / "data_w0_d0.json"
     ms = fw.MeasurementSet.load(path)
-    assert ms.k == 20 and ms.delta == 0.05 and ms.seed == 7
+    assert len(ms.points) == 20 and ms.delta == 0.05 and ms.seed == 7
     # rerun with the same seed: byte-identical output
     res = runner.invoke(main, args[:-1] + [str(tmp_path / "b")], catch_exceptions=False)
     assert res.exit_code == 0

@@ -177,7 +177,7 @@ def test_objective_invariant_under_point_relabeling(ellipsoid_dataset, rng):
     ms = ellipsoid_dataset
     c = geo.ellipsoid_coeffs(0.72, 0.74, 0.78, 1)
     f1 = dv.objective_and_gradient(c, [ms], OPTS, with_gradient=False)
-    perm = rng.permutation(ms.k)
+    perm = rng.permutation(len(ms.points))
     ms2 = fw.MeasurementSet(ms.radius, ms.med, ms.incident, ms.points[perm], ms.u[perm])
     f2 = dv.objective_and_gradient(c, [ms2], OPTS, with_gradient=False)
     assert abs(f1 - f2) < 1e-12 * max(1.0, f1)
@@ -257,7 +257,7 @@ def test_eval_cache_keyed_on_points(ellipsoid_dataset, rng):
     # same frequency, radius and point count, different point order: a cached
     # measurement matrix of one set must not serve the other
     ms = ellipsoid_dataset
-    perm = rng.permutation(ms.k)
+    perm = rng.permutation(len(ms.points))
     ms2 = fw.MeasurementSet(ms.radius, ms.med, ms.incident, ms.points[perm], ms.u[perm])
     c = geo.ellipsoid_coeffs(0.72, 0.74, 0.78, 1)
     dv.objective_and_gradient(c, [ms], OPTS)

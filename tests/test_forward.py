@@ -189,7 +189,7 @@ def test_resolve_equals_fresh_solve(med_std, pwave):
         assert again.residual_rel == fresh.residual_rel
         assert again.residual_rms == fresh.residual_rms
         assert again.rank == fresh.rank
-        assert again.condition == fresh.condition
+        assert again.system.condition == fresh.system.condition
         assert again.system is base.system
 
 
@@ -212,16 +212,19 @@ def test_rank_deficient_system_raises(med_std, pwave, monkeypatch):
 def test_seminormal_solve_matches_lstsq(pwave):
     # CSNE on the Cholesky R of the Gram matrix, with one refinement step,
     # against a dense least-squares reference on a real boundary system
-    # (2166 x 673, cond_1(R) ~ 7.9e4) with the right-hand sides of the shape
-    # Jacobian; without the refinement step the semi-normal solution is far
-    # less accurate.  Errors are measured in the equilibrated unknowns
-    # c / colscale, the ones the factorization solves for
+    # (2166 x 673, kappa = sqrt(cols) ||R^-1||_F ~ 2.8e5, cond_2(A) ~ 2.5e4)
+    # with the right-hand sides of the shape Jacobian; without the refinement
+    # step the semi-normal solution is far less accurate.  Errors are
+    # measured in the equilibrated unknowns c / colscale, the ones the
+    # factorization solves for
     med = modal.Medium(2.0, 1.0, 3.0)
     ell = geo.ellipsoid_coeffs(0.6, 0.75, 0.9, 1)
     sol = fw.solve_rigid_scattering(ell, pwave, med, R, fw.SolverOptions(n_trunc=14, quad_order=18, residual_tol=1e-2))
     system = sol.system
     assert system.a.shape == (2166, 673)
-    assert 5e4 < system.condition < 2e5
+    assert 1.75e5 < system.condition < 7e5
+    assert system.condition == pytest.approx(math.sqrt(system.a.shape[1]) * np.linalg.norm(system.right), rel=1e-12)
+    assert np.linalg.cond(system.a) <= system.condition
     q = geo.perturbation_q_table(ell, sol.sample)
     q = q[np.any(q != 0, axis=1)]
     dnu = dv.normal_derivative_total_field(sol, pwave)
@@ -230,7 +233,7 @@ def test_seminormal_solve_matches_lstsq(pwave):
 
     a = system.a
     ref = np.linalg.lstsq(a, bw, rcond=None)[0]
-    err = np.linalg.norm(system.coefficients(values) / system.colscale[:, None] - ref) / np.linalg.norm(ref)
+    err = np.linalg.norm(sol.solve_rhs(values) / system.colscale[:, None] - ref) / np.linalg.norm(ref)
     unrefined = system.right @ (system.right.conj().T @ (a.conj().T @ bw))
     err_unrefined = np.linalg.norm(unrefined - ref) / np.linalg.norm(ref)
     assert err <= 1e-11
@@ -327,7 +330,7 @@ def test_singular_system_raises(rng):
     a = rng.standard_normal((40, 6)) + 1j * rng.standard_normal((40, 6))
     a[:, 2] = 0.0
     with pytest.raises(fw.SolverError, match="rank-deficient"):
-        fw._factor(a, fw._gram(a))
+        fw._factor(a)
 
 
 def _csne(a, right, b):
@@ -336,30 +339,50 @@ def _csne(a, right, b):
     return y + right @ (right.conj().T @ (a.conj().T @ (b - a @ y)))
 
 
-def test_ill_conditioned_system_falls_back_to_householder_r():
-    # unit-norm columns with singular values spread over 10^6.5: cond_1(R)^2 eps
-    # (5.1e-2) exceeds the Cholesky limit, and one refinement step on the
-    # Cholesky R no longer recovers a QR solve, so _factor must keep the
-    # Householder R.  Measured: error 4.0e-11, the Cholesky R's 505 times that
-    # (over seeds 0-29 at most 6e-11, and at least 211 times); at a spread of
-    # 10^8 the QR solve and lstsq already differ by about 7e-10
-    rng = np.random.default_rng(5)
+def _spread_columns(rng):
+    """300 x 80, unit-norm columns, singular values spread over 10^6.5."""
 
     def orthonormal(m, n):
         return np.linalg.qr(rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))[0]
 
     a = (orthonormal(300, 80) * np.logspace(0, -6.5, 80)) @ orthonormal(80, 80).conj().T
     a /= np.linalg.norm(a, axis=0)
+    return a
+
+
+def test_ill_conditioned_system_falls_back_to_householder_r():
+    # kappa^2 eps (2.2e-2) exceeds the Cholesky limit, and one refinement step
+    # on the Cholesky R no longer recovers a QR solve, so _factor must keep
+    # the Householder R.  Measured: error 4.0e-11, the Cholesky R's 505 times
+    # that (over seeds 0-29 at most 6e-11, and at least 211 times); at a
+    # spread of 10^8 the QR solve and lstsq already differ by about 7e-10
+    rng = np.random.default_rng(5)
+    a = _spread_columns(rng)
     b = a @ (rng.standard_normal(80) + 1j * rng.standard_normal(80))
-    gram = fw._gram(a)
-    cholesky_r = np.linalg.cholesky(gram).conj().T
-    right, condition = fw._factor(a, gram)
+    cholesky_r = np.linalg.cholesky(a.conj().T @ a).conj().T
+    right, _, condition = fw._factor(a)
     assert condition**2 * np.finfo(float).eps > fw._CHOLESKY_LIMIT
     ref = np.linalg.lstsq(a, b, rcond=None)[0]
     err = np.linalg.norm(_csne(a, right, b) - ref) / np.linalg.norm(ref)
     err_cholesky = np.linalg.norm(_csne(a, fw._triu_inverse(cholesky_r), b) - ref) / np.linalg.norm(ref)
     assert err <= 1e-10
     assert err_cholesky >= 100 * err
+
+
+def test_fallback_releases_cholesky_buffer():
+    # the fallback drops the n x n Cholesky buffer before np.linalg.qr copies
+    # a: measured 4.87 n^2 complex entries in all, of which the copy of a is
+    # 3.75 n^2; with the buffer kept alive through the QR it peaked at 5.86 n^2
+    a = _spread_columns(np.random.default_rng(5))
+    n = a.shape[1]
+    tracemalloc.start()
+    try:
+        condition = fw._factor(a)[2]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert condition**2 * np.finfo(float).eps > fw._CHOLESKY_LIMIT
+    assert peak <= a.nbytes + 1.5 * n * n * 16
 
 
 def test_resolve_checks_its_own_residual(med_std, pwave, rng):
