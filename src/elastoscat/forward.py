@@ -325,7 +325,7 @@ def _factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         r_inv = _triu_inverse(np.conjugate(_cholesky(gram), out=gram).T)
         condition = math.sqrt(cols) * np.linalg.norm(r_inv)
     except np.linalg.LinAlgError:
-        r_inv, condition = None, math.nan  # not numerically positive definite: the QR below decides
+        condition = math.nan  # not numerically positive definite: the QR below decides
     del gram  # r_inv now holds the buffer's only reference
     if not condition * condition * np.finfo(float).eps <= _CHOLESKY_LIMIT:  # a NaN falls back too
         r_inv = None  # drop the buffer before the QR copies a
