@@ -2,13 +2,24 @@
 
 Each coefficient perturbation of the surface induces a derivative field
 u'_i that solves the same exterior problem with Dirichlet data
--q_i * (normal derivative of the total field) on the surface; the
+b_i = -q_i * (normal derivative of the total field) on the surface; the
 transparent boundary condition on the measurement sphere is automatic for
 the outgoing basis.  All coefficient columns share the forward solve's
 :class:`~elastoscat.forward.BoundarySystem` (the system matrix depends only
-on geometry, medium and truncation), which is the dominant cost lever,
-and only the 3 (N+1)^2 columns that are not +-m copies of one another are
-solved.
+on geometry, medium and truncation).
+
+The descent needs only Re(J^H r) of the shape Jacobian J, and that comes
+from the adjoint: with c_i = S A^+ W T b_i (T the rotation into each
+point's frame, W the row weights, A the equilibrated matrix, S its column
+scaling) and M the measurement matrix, the gradient entry is
+Re(b_i^H z) with z = T^T W (A^+)^H S M^H r.  Because A has full column
+rank, (A^+)^H g = A R^-1 R^-H g is the minimum-norm solution of
+A^H x = g; it is computed by corrected semi-normal equations with one
+refinement step, the minimum-norm counterpart of the forward solve's
+(A. Bjorck, Linear Algebra Appl. 88/89 (1987) 31-48).  One gradient thus
+costs one solve with a single column instead of 3 (N+1)^2.
+:func:`shape_jacobian` still forms J itself, solving only the 3 (N+1)^2
+columns that are not +-m copies of one another, for ``jacobian-dump``.
 """
 
 from __future__ import annotations
@@ -18,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forward import (
+    BoundarySystem,
     IncidentWave,
     MeasurementSet,
     ScatteredSolution,
@@ -86,6 +98,24 @@ def shape_jacobian(sp: SurfaceParam, sol: ScatteredSolution, w: IncidentWave, po
     return ShapeJacobian(matrix)
 
 
+def _min_norm_solve(system: BoundarySystem, g: np.ndarray) -> np.ndarray:
+    """(A^+)^H g = A R^-1 R^-H g, the minimum-norm solution of A^H x = g.
+
+    Corrected semi-normal equations: x = A R^-1 R^-H g, then one refinement
+    step with the residual g - A^H x.  A^H and R^-H are applied as
+    conj(A^T conj(.)) and conj(R^-T conj(.)), so neither ``a`` nor ``right``
+    is copied.
+    """
+    a, right = system.a, system.right
+
+    def seminormal(h):
+        return a @ (right @ np.conjugate(right.T @ np.conjugate(h)))
+
+    x = seminormal(g)
+    x += seminormal(g - np.conjugate(a.T @ np.conjugate(x)))  # the one refinement step
+    return x
+
+
 def objective_and_gradient(
     sp: SurfaceParam,
     datasets: list[MeasurementSet],
@@ -96,11 +126,17 @@ def objective_and_gradient(
 
     f(C) = 1/2 sum_k |F_k(C) - u(x_k)|^2 summed over every measurement set
     in the bundle (frequencies and incident directions); the gradient sums
-    Re[ u'_i(x_k) . conj(F_k - u(x_k)) ] the same way.
+    Re[ u'_i(x_k) . conj(F_k - u(x_k)) ] = Re(J^H r) the same way, in input
+    order.
 
     Measurement sets that agree on the medium (lambda, mu, omega) and R
     share one boundary system: it is factored once, and every further
-    incident wave is re-solved against it.
+    incident wave is re-solved against it.  The Jacobian is never formed:
+    each set's gradient is -q . Re(w), with q the perturbation table of its
+    system (built once per system) and
+    w(p) = sum_c conj(T d_nu u)(p, c) (W x)(p, c), where x is the
+    minimum-norm solution of A^H x = S M^H r (one adjoint solve, see the
+    module docstring).
 
     Raises :class:`ObjectiveError` when any forward solve fails, so the
     descent loop can reject the step.
@@ -108,6 +144,7 @@ def objective_and_gradient(
     f = 0.0
     grad = np.zeros(coeff_length(sp.order)) if with_gradient else None
     first: dict[tuple, ScatteredSolution] = {}  # (medium, R) -> the solve that factored its system
+    q_table: dict[tuple, np.ndarray] = {}  # (medium, R) -> perturbation_q_table on its sample
     for ds in datasets:
         key = (ds.med, ds.radius)
         try:
@@ -120,8 +157,14 @@ def objective_and_gradient(
         r = (sol.measure(ds.incident, ds.points).u - ds.u).reshape(-1)
         f += 0.5 * float(np.real(np.vdot(r, r)))
         if with_gradient:
-            jac = shape_jacobian(sp, sol, ds.incident, ds.points)
-            grad += np.real(jac.matrix.conj().T @ r)
+            system = sol.system
+            if key not in q_table:
+                q_table[key] = perturbation_q_table(sp, sol.sample)
+            # S M^H r, with M^H applied as conj(M^T conj(r)) on the read-only cached M
+            g = np.conjugate(system.measurement_matrix(ds.points).T @ np.conjugate(r)) * system.colscale
+            z = (_min_norm_solve(system, g) * system.row_w).reshape(-1, 3)
+            dnu = sol.basis.to_frame(normal_derivative_total_field(sol, ds.incident))
+            grad -= q_table[key] @ np.einsum("pc,pc->p", np.conjugate(dnu), z).real
     if not np.isfinite(f):
         raise ObjectiveError("objective is not finite")
     return (f, grad) if with_gradient else f

@@ -11,7 +11,9 @@ production index maps, and the basis-field helpers are the conveniences
 the tests evaluate fields with.  The single-harmonic, vector-harmonic
 and quadrature-expansion helpers read the production harmonic tables, and
 the radiating-field evaluators read the production wave basis; the tests
-check them by closed forms, orthonormality and the modal maps.
+check them by closed forms, orthonormality and the modal maps.  The
+objective gradient is checked against Re(J^H r) from the full shape
+Jacobian instead of the adjoint solve.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 import mpmath as mp
 import numpy as np
 
-from elastoscat import geometry as geo, specfun as sf
+from elastoscat import derivative as dv, forward as fw, geometry as geo, specfun as sf
 from elastoscat.wavefields import WaveBasis
 
 
@@ -469,3 +471,25 @@ def basis_deriv_along_per_mode(basis, directions):
             jn = 3.0 * hnu + ks**2 * (gdotnu * radial + s_s * nu_s) + _matvec(rh, nu_s)
             out[:, :, m + col - 1] = _to_cartesian(basis, jn) / math.sqrt(nn1)
     return out.reshape(3 * basis.npts, basis.ncols)
+
+
+# ---------------------------------------------------------------------------
+# The objective gradient from the full shape Jacobian
+# ---------------------------------------------------------------------------
+
+
+def jacobian_gradient(sp, datasets, options) -> np.ndarray:
+    """Sum over the datasets of Re(J^H r), with J from ``shape_jacobian`` and
+    r the measurement residual; datasets on one medium and radius share the
+    first one's solve through ``resolve_incident``, as in the objective."""
+    grad = np.zeros(geo.coeff_length(sp.order))
+    first = {}
+    for ds in datasets:
+        key = (ds.med, ds.radius)
+        if key in first:
+            sol = first[key].resolve_incident(ds.incident)
+        else:
+            sol = first[key] = fw.solve_rigid_scattering(sp, ds.incident, ds.med, ds.radius, options)
+        r = (sol.measure(ds.incident, ds.points).u - ds.u).reshape(-1)
+        grad += np.real(dv.shape_jacobian(sp, sol, ds.incident, ds.points).matrix.conj().T @ r)
+    return grad

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from elastoscat import derivative as dv, forward as fw, geometry as geo, modal, specfun as sf
+from elastoscat import derivative as dv, forward as fw, geometry as geo, inverse as inv, modal, specfun as sf
 
-from oracles import basis_gradient, decode_coeff_index, encode_coeff_index
+from oracles import basis_gradient, decode_coeff_index, encode_coeff_index, jacobian_gradient
 
 R = 1.0
 MED = modal.Medium(2.0, 1.0, 2.0)
@@ -276,3 +276,56 @@ def test_programming_errors_are_not_rejected_steps(ellipsoid_dataset, monkeypatc
     c = geo.ellipsoid_coeffs(0.72, 0.74, 0.78, 1)
     with pytest.raises(TypeError):
         dv.objective_and_gradient(c, [ellipsoid_dataset], OPTS)
+
+
+def _synthesized(truth, omegas, waves, points):
+    """Noise-free data of ``truth`` for every (omega, wave) pair, on the medium (2, 1)."""
+    opts = fw.SolverOptions(n_trunc=12, residual_tol=1e-2)
+    return [
+        fw.solve_rigid_scattering(truth, w, med, R, opts).measure(w, points)
+        for med in (modal.Medium(2.0, 1.0, omega) for omega in omegas)
+        for w in waves
+    ]
+
+
+_WAVES = (PW, fw.IncidentWave("p", (0.0, 0.0, 1.0)), fw.IncidentWave("s", (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)))
+
+
+@pytest.mark.parametrize(
+    "sp, omegas, waves, n_trunc, householder",
+    [
+        (geo.ellipsoid_coeffs(0.62, 0.73, 0.88, 2), (2.0,), _WAVES[:1], 10, False),
+        # kappa 9.1e6: past the Cholesky limit, so R comes from the Householder QR
+        (geo.ellipsoid_coeffs(0.6, 0.75, 0.9, 1), (1.0,), _WAVES[:1], 16, True),
+        # six datasets on two systems: the sum runs over both
+        (geo.ellipsoid_coeffs(0.62, 0.73, 0.88, 2), (1.0, 2.0), _WAVES, 8, False),
+    ],
+    ids=["cholesky", "householder", "two-frequency-bundle"],
+)
+def test_adjoint_gradient_matches_jacobian(sp, omegas, waves, n_trunc, householder):
+    # the adjoint solve must give the Re(J^H r) of the full Jacobian, also
+    # where the system is too ill-conditioned for the Cholesky R
+    data = _synthesized(geo.ellipsoid_coeffs(0.66, 0.72, 0.85, 2), omegas, waves, fw.fibonacci_sphere(60, R))
+    opts = fw.SolverOptions(n_trunc=n_trunc, residual_tol=1e-1)
+    for omega in omegas:
+        ds = next(d for d in data if d.med.omega == omega)
+        condition = fw.solve_rigid_scattering(sp, ds.incident, ds.med, R, opts).system.condition
+        assert (condition**2 * np.finfo(float).eps > fw._CHOLESKY_LIMIT) == householder
+    _, g = dv.objective_and_gradient(sp, data, opts)
+    ref = jacobian_gradient(sp, data, opts)
+    assert np.linalg.norm(g - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_descent_builds_no_jacobian(ellipsoid_dataset, monkeypatch):
+    # the gradient comes from one adjoint solve per dataset: neither the
+    # Jacobian nor any batch of extra right-hand sides is formed
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the descent formed the shape Jacobian")
+
+    monkeypatch.setattr(dv, "shape_jacobian", forbidden)
+    monkeypatch.setattr(fw.ScatteredSolution, "solve_rhs", forbidden)
+    c = geo.ellipsoid_coeffs(0.72, 0.74, 0.78, 1)
+    f, g = dv.objective_and_gradient(c, [ellipsoid_dataset], OPTS)
+    assert np.isfinite(f) and np.all(np.isfinite(g)) and np.abs(g).max() > 0
+    state = inv.continuation_run([ellipsoid_dataset], inv.FrequencySchedule((MED.omega,), iterations=1), n_trunc=10)
+    assert len(state.history) >= 1
