@@ -251,7 +251,8 @@ def synth(surface, medium, radius, freqs, noise, seed, directions, kpoints, wave
     default=0.05,
     show_default=True,
     callback=_positive,
-    help="forward relative boundary residual tolerance",
+    help="forward relative boundary residual tolerance; on noisy data a stage's coarser "
+    "truncations solve to min(tol, delta/(2 sqrt 3))",
 )
 @click.option(
     "--n-trunc", default=None, type=click.IntRange(min=0), help="fixed solver truncation (default: per-stage adaptive)"
@@ -325,6 +326,7 @@ def invert(data, outdir, iterations, tau, r0, sum_directions, backtracking, resi
         out / "run_config.json",
         status="finished" if failed_stage is None else "stage_failed",
         failed_stage=failed_stage,
+        stage_n_trunc=list({h["stage"]: h["n_trunc"] for h in state.history}.values()),  # each stage's final rung
     )
     if state.history:
         click.echo(f"final objective {state.history[-1]['objective']:.6e}; outputs in {out}")

@@ -43,7 +43,12 @@ from .specfun import DomainError
 
 
 class ObjectiveError(RuntimeError):
-    """Objective evaluation failed (infeasible surface or solver failure)."""
+    """Objective evaluation failed (infeasible surface or solver failure).
+
+    A failed forward solve is the chained ``__cause__``, so a caller can
+    tell a residual above tolerance (:class:`~elastoscat.forward.ResidualError`)
+    from a rank-deficient system or a surface outside Gamma_R.
+    """
 
 
 def normal_derivative_total_field(sol: ScatteredSolution, w: IncidentWave) -> np.ndarray:
@@ -138,8 +143,9 @@ def objective_and_gradient(
     minimum-norm solution of A^H x = S M^H r (one adjoint solve, see the
     module docstring).
 
-    Raises :class:`ObjectiveError` when any forward solve fails, so the
-    descent loop can reject the step.
+    Raises :class:`ObjectiveError`, chained from the forward solve's error,
+    when any forward solve fails, so the descent loop can reject the step
+    or, on a residual failure, refine the truncation.
     """
     f = 0.0
     grad = np.zeros(coeff_length(sp.order)) if with_gradient else None

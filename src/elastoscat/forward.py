@@ -46,7 +46,15 @@ from .wavefields import WaveBasis
 
 
 class SolverError(RuntimeError):
-    """Forward solve failed to reach the requested boundary residual."""
+    """Forward solve failed: a rank-deficient system or a boundary residual above tolerance."""
+
+
+class ResidualError(SolverError):
+    """A solve's relative boundary residual exceeds its options' ``residual_tol``.
+
+    The system itself was factored; only the truncation is too coarse for
+    the requested residual, so a finer truncation may succeed.
+    """
 
 
 _RANK_CUTOFF = 1e-12  # smallest relative singular value of a full-rank system (see _factor)
@@ -395,7 +403,7 @@ class ScatteredSolution:
 
         ``dirichlet_data`` is an array aligned with the sample nodes (npts, 3)
         or a callable mapping points to values.  The new solution reports
-        its own residual, and :class:`SolverError` is raised when that
+        its own residual, and :class:`ResidualError` is raised when that
         residual exceeds the options' ``residual_tol``.
         """
         return _fit(self.system, _boundary_data(dirichlet_data, self.sample))
@@ -436,7 +444,7 @@ def _fit(system: BoundarySystem, data: np.ndarray) -> ScatteredSolution:
     rel = resid_norm / bnorm if bnorm != 0 else 0.0
     tol = system.options.residual_tol
     if not rel <= tol:  # written so that a NaN residual fails too
-        raise SolverError(
+        raise ResidualError(
             f"boundary residual {rel:.3e} (relative) exceeds tolerance {tol:.1e} "
             f"at truncation order {system.options.n_trunc}"
         )

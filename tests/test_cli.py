@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import elastoscat
-from elastoscat import forward as fw, geometry as geo, modal
+from elastoscat import forward as fw, geometry as geo, inverse as inv, modal
 from elastoscat.cli import _parse_directions, _parse_freqs, _parse_medium, main
 
 
@@ -262,6 +262,37 @@ def test_invert_pipeline(runner, tmp_path):
     config = json.loads((out_run / "run_config.json").read_text())
     assert config["status"] == "finished" and config["failed_stage"] is None
     assert (out_run / "stage_0.json").exists()
+
+
+def test_invert_records_each_stages_final_rung(runner, tmp_path):
+    out_data = tmp_path / "data"
+    res = runner.invoke(
+        main,
+        [
+            "synth",
+            "--surface", "ellipsoid:0.6,0.75,0.9",
+            "--freqs", "1,2",
+            "--noise", "0.05",
+            "--kpoints", "30",
+            "--n-trunc", "10",
+            "--out", str(out_data),
+        ],
+        catch_exceptions=False,
+    )
+    assert res.exit_code == 0
+    out_run = tmp_path / "run"
+    res = runner.invoke(
+        main,
+        ["invert", "--data", str(out_data / "data_*.json"), "--iterations", "4", "--r0", "0.3", "--out", str(out_run)],
+        catch_exceptions=False,
+    )
+    assert res.exit_code == 0
+    datasets = [fw.MeasurementSet.load(p) for p in sorted(out_data.glob("data_*.json"))]
+    state = inv.continuation_run(datasets, inv.FrequencySchedule((1.0, 2.0), iterations=4), r0=0.3)
+    config = json.loads((out_run / "run_config.json").read_text())
+    assert config["stage_n_trunc"] == [[h["n_trunc"] for h in state.history if h["stage"] == i][-1] for i in (0, 1)]
+    with open(out_run / "objective_history.csv") as f:
+        assert next(csv.reader(f)) == ["stage", "omega", "sweep", "iteration", "objective", "tau"]
 
 
 def test_invert_stage_failure_exits_nonzero(runner, tmp_path):

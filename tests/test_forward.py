@@ -3,10 +3,11 @@ import json
 import math
 import tracemalloc
 
+import click
 import numpy as np
 import pytest
 
-from elastoscat import derivative as dv, forward as fw, geometry as geo, modal, specfun as sf
+from elastoscat import cli, derivative as dv, forward as fw, geometry as geo, modal, specfun as sf
 from elastoscat.wavefields import WaveBasis
 
 from oracles import (
@@ -331,6 +332,37 @@ def test_singular_system_raises(rng):
     a[:, 2] = 0.0
     with pytest.raises(fw.SolverError, match="rank-deficient"):
         fw._factor(a)
+
+
+def test_residual_failure_is_typed(med_std, pwave, rng, monkeypatch):
+    # only a residual above tolerance is a ResidualError, with the message of
+    # any solver failure; a singular system stays a plain SolverError
+    ell = geo.ellipsoid_coeffs(0.6, 0.75, 0.9, 1)
+    opts = fw.SolverOptions(n_trunc=8, quad_order=12, residual_tol=1e-8)
+    message = r"boundary residual .* \(relative\) exceeds tolerance 1\.0e-08 at truncation order 8"
+    with pytest.raises(fw.ResidualError, match=message):
+        fw.solve_rigid_scattering(ell, pwave, med_std, R, opts)
+    ms = fw.solve_rigid_scattering(ell, pwave, med_std, R, fw.SolverOptions(n_trunc=8, residual_tol=0.05)).measure(
+        pwave, fw.fibonacci_sphere(20, R)
+    )
+    with pytest.raises(dv.ObjectiveError) as err:
+        dv.objective_and_gradient(ell, [ms], opts)
+    assert type(err.value.__cause__) is fw.ResidualError
+    a = rng.standard_normal((40, 6)) + 1j * rng.standard_normal((40, 6))
+    a[:, 2] = 0.0
+    with pytest.raises(fw.SolverError) as singular:
+        fw._factor(a)
+    assert type(singular.value) is fw.SolverError
+    monkeypatch.setattr(fw, "_RANK_CUTOFF", 1e-4)
+    with pytest.raises(dv.ObjectiveError) as err:
+        dv.objective_and_gradient(ell, [ms], fw.SolverOptions(n_trunc=8, residual_tol=0.05))
+    assert type(err.value.__cause__) is fw.SolverError
+    # the CLI names --n-trunc for both
+    for exc in (fw.ResidualError("residual"), fw.SolverError("rank-deficient")):
+        with pytest.raises(click.BadParameter) as usage:
+            with cli._solve_failures_as_usage_errors():
+                raise exc
+        assert usage.value.param_hint == "'--n-trunc'"
 
 
 def _csne(a, right, b):

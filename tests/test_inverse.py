@@ -226,6 +226,129 @@ def test_direction_sweep_and_sum_modes():
 
 
 # ---------------------------------------------------------------------------
+# Truncation ladder
+# ---------------------------------------------------------------------------
+
+ELLIPSOID = geo.ellipsoid_coeffs(0.6, 0.75, 0.9, 1)
+
+
+@pytest.fixture(scope="module")
+def noisy_bundle():
+    return [synth_dataset(ELLIPSOID, omega, kpoints=40, delta=0.05, seed=11 + i) for i, omega in enumerate((1.0, 2.0))]
+
+
+def _record_evaluations(monkeypatch, fail_on=None, cause=None):
+    """Wrap the descent's objective: log (coefficients, n_trunc, with_gradient)
+    of every call, and make call number ``fail_on`` (0-based) raise
+    :class:`ObjectiveError` chained from ``cause`` instead."""
+    calls = []
+    real = inv.objective_and_gradient
+
+    def logged(sp, datasets, options, with_gradient=True):
+        calls.append((sp.coeffs.copy(), options.n_trunc, with_gradient))
+        if len(calls) - 1 == fail_on:
+            raise ObjectiveError("forced failure") from cause
+        return real(sp, datasets, options, with_gradient)
+
+    monkeypatch.setattr(inv, "objective_and_gradient", logged)
+    return calls
+
+
+def test_clean_or_fixed_truncation_is_one_rung(sphere_dataset):
+    surface = inv.initial_guess(0.5, 1)
+    top = inv.stage_solver_options(sphere_dataset.med, R, 1, surface)
+    assert inv.stage_ladder([sphere_dataset], 1, surface) == [top]
+    noisy = synth_dataset(geo.sphere_coeffs(0.55, 1), 1.0, delta=0.05, seed=3)
+    fixed = inv.stage_solver_options(noisy.med, R, 1, surface, n_trunc=7)
+    assert inv.stage_ladder([noisy], 1, surface, n_trunc=7) == [fixed]
+    sched = inv.FrequencySchedule((1.0,), iterations=3)
+    clean_run = inv.continuation_run([sphere_dataset], sched)
+    assert [h["n_trunc"] for h in clean_run.history] == [top.n_trunc] * 4
+    fixed_run = inv.continuation_run([noisy], sched, n_trunc=7)
+    assert [h["n_trunc"] for h in fixed_run.history] == [7] * 4
+
+
+def test_noisy_ladder_climbs_within_its_rungs(noisy_bundle, monkeypatch):
+    sched = inv.FrequencySchedule((1.0, 2.0), iterations=10)
+    calls = _record_evaluations(monkeypatch)
+    state = inv.continuation_run(noisy_bundle, sched, r0=0.3)
+    starts = [inv.initial_guess(0.3, 1), state.snapshots[0].resized(2)]
+    for i, (ds, start) in enumerate(zip(noisy_bundle, starts)):
+        order = sched.order(i)
+        ladder = inv.stage_ladder([ds], order, start)
+        top = inv.stage_solver_options(ds.med, R, order, start)
+        assert ladder[-1] == top and [o.n_trunc for o in ladder] == list(range(order + 2, top.n_trunc + 1))
+        assert all(o.residual_tol == min(0.05, 0.5 * 0.05 / np.sqrt(3)) for o in ladder[:-1])
+        # the stage's first evaluation is on the lowest rung
+        assert next(n for c, n, _ in calls if len(c) == len(start.coeffs)) == order + 2
+        rungs = [h["n_trunc"] for h in state.history if h["stage"] == i]
+        assert all(a <= b for a, b in zip(rungs, rungs[1:]))
+        assert order + 2 <= rungs[0] and rungs[-1] <= top.n_trunc
+
+
+def test_growing_surface_climbs_the_ladder():
+    # a start well inside the truth outgrows the coarsest truncations
+    data = synth_dataset(ELLIPSOID, 2.0, kpoints=40, delta=0.05, seed=3)
+    state = inv.continuation_run([data], inv.FrequencySchedule((2.0,), iterations=20), r0=0.3)
+    rungs = [h["n_trunc"] for h in state.history]
+    assert len(rungs) == 21 and rungs[0] < rungs[-1]
+
+
+@pytest.mark.parametrize(
+    "cause, climbs",
+    [
+        (fw.ResidualError("boundary residual above tolerance"), True),
+        (fw.SolverError("boundary system is rank-deficient"), False),
+        (geo.GeometryError("surface outside Gamma_R"), False),
+    ],
+)
+def test_only_a_residual_failure_climbs(noisy_bundle, monkeypatch, cause, climbs):
+    data = noisy_bundle[0]
+    sched = inv.FrequencySchedule((1.0,), iterations=3)
+    state = inv.InversionState(surface=inv.initial_guess(0.5, 1))
+    ladder = inv.stage_ladder([data], 1, state.surface)
+    assert len(ladder) > 2
+    calls = _record_evaluations(monkeypatch, fail_on=1, cause=cause)
+    state = inv.descent_stage(state, sched, 0, [data], options=ladder)
+    assert len(state.history) == 4  # a climb adds no row
+    (_, n_start, _), (trial, n_failed, _), (again, n_again, _) = calls[:3]
+    assert n_start == n_failed == ladder[0].n_trunc
+    if climbs:  # the same point, one rung up, with the full step
+        np.testing.assert_array_equal(again, trial)
+        assert n_again == ladder[1].n_trunc
+        assert state.history[1]["tau"] == sched.tau(0)
+    else:  # a rejected step: the rung stays and the step halves
+        assert n_again == ladder[0].n_trunc
+        assert state.history[1]["tau"] == sched.tau(0) / 2
+    assert state.history[1]["n_trunc"] == n_again
+
+
+def test_backtracking_compares_on_the_climbed_rung(noisy_bundle, monkeypatch):
+    data = noisy_bundle[0]
+    sched = inv.FrequencySchedule((1.0,), iterations=2)
+    state = inv.InversionState(surface=inv.initial_guess(0.5, 1))
+    ladder = inv.stage_ladder([data], 1, state.surface)
+    start = state.surface.resized(1).coeffs
+    calls = _record_evaluations(monkeypatch, fail_on=1, cause=fw.ResidualError("forced"))
+    state = inv.descent_stage(state, sched, 0, [data], options=ladder, backtracking=True)
+    # the trial climbs, then the current iterate's objective is re-evaluated on the new rung
+    (_, _, _), (trial, _, _), (again, n_again, _), (current, n_current, grad) = calls[:4]
+    np.testing.assert_array_equal(again, trial)
+    np.testing.assert_array_equal(current, start)
+    assert n_again == n_current == ladder[1].n_trunc and not grad
+    fs = [h["objective"] for h in state.history]
+    assert fs[1] <= inv.objective_and_gradient(inv.initial_guess(0.5, 1), [data], ladder[1], with_gradient=False)
+
+
+def test_noisy_reruns_repeat_their_rungs(noisy_bundle):
+    sched = inv.FrequencySchedule((1.0, 2.0), iterations=6)
+    a = inv.continuation_run(noisy_bundle, sched, r0=0.3)
+    b = inv.continuation_run(noisy_bundle, sched, r0=0.3)
+    assert a.history == b.history
+    np.testing.assert_array_equal(a.surface.coeffs, b.surface.coeffs)
+
+
+# ---------------------------------------------------------------------------
 # Surface error metric
 # ---------------------------------------------------------------------------
 
