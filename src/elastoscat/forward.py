@@ -16,9 +16,11 @@ upper-triangular Cholesky factor of the Gram matrix A^H A, so no Q is
 formed.  Gram matrix, Cholesky factor (blocked by panels of ``_PANEL``
 columns, F. G. Gustavson, IBM J. Res. Dev. 41 (1997) 737-755) and R^-1
 occupy one n x n buffer in turn, each written over the one before, and no
-temporary exceeds a quarter of that buffer: a solve holds A plus one
-n x n matrix.  Right-hand sides are solved by corrected semi-normal
-equations (CSNE: y = R^-1 R^-H A^H b) followed by exactly one refinement
+temporary exceeds a quarter of that buffer.  The basis keeps its angular
+part as real Legendre factors and azimuthal phases, not as complex tables
+of a third of A's bytes, so a solve holds A plus one n x n matrix.
+Right-hand sides are solved by corrected semi-normal equations
+(CSNE: y = R^-1 R^-H A^H b) followed by exactly one refinement
 step with the residual b - A y, which brings the accuracy back to that of
 a QR solve (A. Bjorck, Linear Algebra Appl. 88/89 (1987) 31-48) as long as
 cond_2(A)^2 eps is small.  One number, kappa = sqrt(cols) ||R^-1||_F (an
@@ -168,7 +170,11 @@ class BoundarySystem:
     ill-conditioned for it), ``right = R^-1`` and is the system's only n x n
     matrix: no Q is formed, R^-H is applied through ``right`` itself, and
     every right-hand side is solved by corrected semi-normal equations with
-    one refinement step against ``a``.  ``condition`` is kappa =
+    one refinement step against ``a``.  Besides ``a`` and ``right``, the
+    system holds only ``basis``'s harmonic factors, radial tables and point
+    frames (3.0 MiB against A's 22.2 MiB at n_trunc 14 and 722 points); the
+    basis builds its complex angular tables only for a directional
+    derivative.  ``condition`` is kappa =
     sqrt(cols) ||R^-1||_F, the Frobenius condition number of R and an upper
     bound on cond_2(A); ``_factor`` computes all of these but ``row_w``.
     Nothing here depends on the Dirichlet data, so one system serves the

@@ -1,8 +1,9 @@
 """Special functions on the sphere.
 
 Tables of spherical Hankel functions of the first kind and their
-logarithmic derivative, tables of orthonormal spherical harmonics and their
-angular derivatives, harmonic index flattening, and Gauss-Legendre x
+logarithmic derivative, orthonormal spherical harmonics and their angular
+derivatives (as real Legendre factors and azimuthal phases, and the complex
+tables those expand to), harmonic index flattening, and Gauss-Legendre x
 trapezoid quadrature on the sphere.
 
 Harmonic convention
@@ -27,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -160,32 +162,88 @@ def z_log_derivative_table(nmax: int, t: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def sph_harmonic_tables(nmax: int, theta, phi):
-    """Y_n^m and angular derivatives at the given angles, all modes n <= nmax.
+class HarmonicFactors(NamedTuple):
+    """Real and azimuthal factors of the harmonic tables at a point set.
 
-    Returns ``(y, dy_dth, y_over_sin)`` complex arrays of shape
-    ``(npts, (nmax+1)^2)`` indexed by ``flatten_index(n, m) - 1``, where
-    ``y_over_sin[:, i] = -i m Y / sin(th)`` is the phi-derivative divided by
-    sin(th) (pole-safe only on grids excluding the poles).
+    ``p`` and ``sdp`` are the normalized Legendre values and sin(th) d/dth of
+    them, ``(npts, (nmax+1)(nmax+2)/2)`` float packed by
+    ``_kernels.tri_index(n, |m|)``; ``phases`` holds sigma_m exp(-i m ph) for
+    m = -nmax..nmax, ``(npts, 2 nmax + 1)`` complex; ``inv_sin`` is 1/sin(th),
+    ``(npts, 1)``, set to 0 at the poles.  At nmax = 14 they take a fifth of
+    the bytes of the three complex ``(npts, (nmax+1)^2)`` tables they expand to.
     """
+
+    p: np.ndarray
+    sdp: np.ndarray
+    phases: np.ndarray
+    inv_sin: np.ndarray
+
+    @property
+    def nmax(self) -> int:
+        return self.phases.shape[1] // 2
+
+
+def sph_harmonic_factors(nmax: int, theta, phi) -> HarmonicFactors:
+    """The factors of Y_n^m and its angular derivatives at the given angles,
+    all n <= nmax; :func:`sph_harmonic_values` and
+    :func:`sph_harmonic_theta_derivative` expand them, with the operations of
+    :func:`sph_harmonic_tables` in the same order, into bitwise its tables."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
     costh, sinth = np.cos(theta), np.sin(theta)
     p, sdp = _kernels.legendre_tables(nmax, costh, sinth)
     with np.errstate(divide="ignore", invalid="ignore"):
         inv_sin = np.where(sinth != 0, 1.0 / sinth, 0.0)[:, None]
-    n, m = harmonic_columns(nmax)
-    tri = _kernels.tri_index(n, np.abs(m))
-    # sigma_m exp(-i m ph) for each distinct order, then spread over the columns
+    # sigma_m exp(-i m ph) for each distinct order
     orders = np.arange(-nmax, nmax + 1)
     sigma = np.where((orders > 0) & (orders % 2 == 1), -1.0, 1.0)
-    ph = (sigma * np.exp(-1j * orders * phi[:, None]))[:, m + nmax]
-    y = ph * p[:, tri]
-    dy = ph * sdp[:, tri]
-    dy *= inv_sin  # in place: fewer (npts, ncols) temporaries
-    dphi_over_sin = (-1j * m) * y
-    dphi_over_sin *= inv_sin
-    return y, dy, dphi_over_sin
+    return HarmonicFactors(p, sdp, sigma * np.exp(-1j * orders * phi[:, None]), inv_sin)
+
+
+def _expand(f: HarmonicFactors, legendre: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """Each column's order phase times its packed Legendre column of
+    ``legendre`` (``f.p`` or ``f.sdp``), written into ``out`` or a new
+    complex ``(npts, (nmax+1)^2)`` array."""
+    n, m = harmonic_columns(f.nmax)
+    tri = _kernels.tri_index(n, np.abs(m))
+    cols = m + f.nmax
+    out = f.phases[:, cols] if out is None else np.take(f.phases, cols, axis=1, out=out, mode="clip")
+    out *= legendre[:, tri]  # phase times Legendre value, in that order
+    return out
+
+
+def sph_harmonic_values(f: HarmonicFactors):
+    """``(y, dphi_over_sin)``: Y_n^m and -i m Y / sin(th), the phi-derivative
+    divided by sin(th), as complex ``(npts, (nmax+1)^2)`` arrays indexed by
+    ``flatten_index(n, m) - 1``.  The second is pole-safe only on grids
+    excluding the poles."""
+    y = _expand(f, f.p, None)
+    dphi_over_sin = (-1j * harmonic_columns(f.nmax)[1]) * y
+    dphi_over_sin *= f.inv_sin
+    return y, dphi_over_sin
+
+
+def sph_harmonic_theta_derivative(f: HarmonicFactors, out: np.ndarray | None = None) -> np.ndarray:
+    """dY_n^m/dth, complex ``(npts, (nmax+1)^2)``, written into ``out`` when
+    given (a table that is no longer needed, say).  It is sin(th) dY/dth
+    divided by sin(th), so pole-safe only on grids excluding the poles."""
+    dy = _expand(f, f.sdp, out)
+    dy *= f.inv_sin
+    return dy
+
+
+def sph_harmonic_tables(nmax: int, theta, phi):
+    """Y_n^m and angular derivatives at the given angles, all modes n <= nmax.
+
+    Returns ``(y, dy_dth, y_over_sin)`` complex arrays of shape
+    ``(npts, (nmax+1)^2)`` indexed by ``flatten_index(n, m) - 1``, where
+    ``y_over_sin[:, i] = -i m Y / sin(th)`` is the phi-derivative divided by
+    sin(th) (pole-safe only on grids excluding the poles): the factors of
+    :func:`sph_harmonic_factors` expanded.
+    """
+    f = sph_harmonic_factors(nmax, theta, phi)
+    y, dphi_over_sin = sph_harmonic_values(f)
+    return y, sph_harmonic_theta_derivative(f), dphi_over_sin
 
 
 # ---------------------------------------------------------------------------

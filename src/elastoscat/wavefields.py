@@ -21,11 +21,15 @@ sphere.  E_M and E_N vanish identically for n = 0.
 Values are assembled in each point's spherical frame, where x = r e_r and
 the Hankel equation leave each entry one radial factor of its degree
 (f0 = h_n(kappa r)/h_n(kappa R), f1 = f0') times one angular table of Y_n^m/R;
-Cartesian values are that frame matrix rotated point by point.  Directional
-derivatives are contracted with coefficients instead of formed as a matrix:
-the angular tables are contracted within each degree first, and the
-spherical-frame Hessians of the scalar modes are then evaluated once over
-the degree axis.  The only third-order derivative needed is the radial
+Cartesian values are that frame matrix rotated point by point.  A basis
+keeps the angular part only as the real Legendre factors and azimuthal
+phases of :func:`elastoscat.specfun.sph_harmonic_factors`, a fifth of the
+three complex tables' bytes at nmax = 14: assembly expands the tables at
+most two at a time and drops them, and only the derivative keeps its own.
+Directional derivatives are contracted with coefficients instead of formed
+as a matrix: the angular tables are contracted within each degree first,
+and the spherical-frame Hessians of the scalar modes are then evaluated
+once over the degree axis.  The only third-order derivative needed is the radial
 derivative of the Hessian, which the symmetry of third derivatives reduces
 to (x . grad) Hess = r d/dr Hess.
 """
@@ -52,18 +56,34 @@ def _radial_tables(nmax: int, kappa: float, r: np.ndarray, ref_radius: float):
     return (h / href, kappa * hp / href, kappa**2 * hpp / href, kappa**3 * hppp / href)
 
 
-def _angular_tables(nmax: int, theta: np.ndarray, phi: np.ndarray, ref_radius: float):
-    """Angular factors of the scalar modes X = Y/R and their first derivatives.
-
-    Returns arrays of shape (npts, (nmax+1)^2):
+def _angular_tables(harmonics: specfun.HarmonicFactors, ref_radius: float) -> tuple:
+    """Angular factors of the scalar modes X = Y/R expanded from the harmonic
+    factors, shape (npts, (nmax+1)^2) each, both from one Y:
       ya   = Y/R
-      yt   = d(Y/R)/dth
       yps  = (1/sin th) d(Y/R)/dph
+    :func:`_theta_table` gives the third, d(Y/R)/dth.
     """
-    tables = specfun.sph_harmonic_tables(nmax, theta, phi)
+    tables = specfun.sph_harmonic_values(harmonics)
     for t in tables:
         t /= ref_radius  # in place: no second set of (npts, nmodes) arrays
     return tables
+
+
+def _theta_table(harmonics: specfun.HarmonicFactors, ref_radius: float, out=None) -> np.ndarray:
+    """yt = d(Y/R)/dth, written into ``out`` when given (assembly passes the
+    ya it no longer needs, so it holds at most two such tables)."""
+    yt = specfun.sph_harmonic_theta_derivative(harmonics, out)
+    yt /= ref_radius
+    return yt
+
+
+def _fill_degrees(out: np.ndarray, rad: np.ndarray, first: int) -> None:
+    """Write the radial factor of each degree, ``rad`` of shape
+    (nmax+1-first, npts), into the columns of that degree of ``out``, shape
+    (npts, ..., ncols) with columns the flat modes from degree ``first`` on."""
+    shape = (-1,) + (1,) * (out.ndim - 1)
+    for d, f in enumerate(rad, start=first):
+        out[..., d * d - first : (d + 1) ** 2 - first] = f.reshape(shape)
 
 
 class WaveBasis:
@@ -72,6 +92,12 @@ class WaveBasis:
     Column layout of the coefficient vector: first the (nmax+1)^2 scalar
     potential coefficients phi, then the (nmax+1)^2 - 1 coefficients psi_2
     (modes n >= 1), then psi_3 likewise.
+
+    A basis holds the harmonic factors ``harmonics``, the radial tables
+    ``rad_p`` and ``rad_s`` and the point frames ``frame``.  The complex
+    angular tables ``ang`` and ``ang2`` are built on the first
+    :meth:`directional_derivative`, so a basis that only gives field values
+    never holds them.
     """
 
     def __init__(self, kappa_p: float, kappa_s: float, ref_radius: float, nmax: int, points: np.ndarray):
@@ -88,14 +114,25 @@ class WaveBasis:
         self.r = r
         self.theta = theta
         self.frame = np.stack(spherical_frame(theta, phi))  # (e_r, e_t, e_p), shape (3, npts, 3)
-        self.ang = _angular_tables(nmax, theta, phi, ref_radius)
+        self.harmonics = specfun.sph_harmonic_factors(nmax, theta, phi)
         self.rad_p = _radial_tables(nmax, kappa_p, r, ref_radius)
         self.rad_s = _radial_tables(nmax, kappa_s, r, ref_radius)
 
     @cached_property
+    def ang(self) -> tuple:
+        """First-order angular factors ``(ya, yt, yps)`` of X = Y/R (see
+        :func:`_angular_tables` and :func:`_theta_table`), shape
+        (npts, (nmax+1)^2) each, built on first use: only
+        :meth:`directional_derivative` reads them, and :meth:`matrix` expands
+        its own from ``harmonics`` and drops them."""
+        ya, yps = _angular_tables(self.harmonics, self.ref_radius)
+        return ya, _theta_table(self.harmonics, self.ref_radius), yps
+
+    @cached_property
     def ang2(self) -> tuple:
         """Second-order angular factors of X = Y/R, shape (npts, (nmax+1)^2)
-        each, built on first use (only :meth:`directional_derivative` reads them):
+        each, built from ``ang`` on first use (only
+        :meth:`directional_derivative` reads them):
           ytt  = d^2(Y/R)/dth^2
           atp  = (1/sin th) (d_th d_ph - cot th d_ph)(Y/R)
           app  = (1/sin^2 th) d^2_ph (Y/R) + cot th * d_th (Y/R)
@@ -105,13 +142,24 @@ class WaveBasis:
         costh = np.cos(self.theta)[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
             cot = np.where(sinth != 0, costh / sinth, 0.0)
-            inv_sin = np.where(sinth != 0, 1.0 / sinth, 0.0)
+        inv_sin = self.harmonics.inv_sin
         n, m = specfun.harmonic_columns(self.nmax)
         mvals = m.astype(float)  # float: -(m**2) is then -0.0 at m = 0, a sign bit the outputs carry
         nn1 = n * (n + 1.0)
-        ytt = -cot * yt + (mvals**2 * inv_sin**2 - nn1) * ya
-        atp = (-1j * mvals) * inv_sin * (yt - cot * ya)
-        app = -(mvals**2) * inv_sin**2 * ya + cot * yt
+        # the products and sums of ytt = -cot yt + (m^2/sin^2 - n(n+1)) ya,
+        # atp = (-i m / sin) (yt - cot ya) and app = -(m^2/sin^2) ya + cot yt,
+        # operands in that order, with each output the scratch of the next
+        w = mvals**2 * inv_sin**2
+        ytt = np.multiply(-cot, yt)
+        app = np.multiply(w - nn1, ya)
+        ytt += app
+        atp = np.multiply(cot, ya)
+        np.subtract(yt, atp, out=atp)
+        np.multiply(-1j * mvals, inv_sin, out=app)
+        np.multiply(app, atp, out=atp)
+        np.negative(w, out=w)  # -(m^2) / sin^2: a product's sign is exact
+        np.multiply(w, ya, out=app)
+        app += cot * yt
         return ytt, atp, app
 
     @property
@@ -151,35 +199,43 @@ class WaveBasis:
         return sph.reshape(3 * self.npts, self.ncols)
 
     def _frame_matrix(self) -> np.ndarray:
-        """Spherical-frame basis field values, shape (npts, 3, ncols)."""
+        """Spherical-frame basis field values, shape (npts, 3, ncols).
+
+        Each degree's radial factors are written into the output and the
+        angular tables multiplied in: ya and yps first, then yt expanded over
+        ya, so at most two (npts, nmodes) complex tables exist at once."""
         nm = self.nmodes
-        n = specfun.harmonic_columns(self.nmax)[0]
-        ya, yt, yps = self.ang
+        # expanded before the output is allocated: in this order glibc reuses
+        # the freed blocks, and synth-cube's peak RSS was 80.9 MB, not 83.9 MB
+        ya, yps = _angular_tables(self.harmonics, self.ref_radius)
         out = np.empty((self.npts, 3, self.ncols), dtype=complex)
         e_p, e_n, e_m = out[:, :, :nm], out[:, :, nm : 2 * nm - 1], out[:, :, 2 * nm - 1 :]
-        # E_P = (f1 Y, f0/r dY/dth, f0/r dY/dph / sin th), radial factors gathered per column
+        # E_P = (f1 Y, f0/r dY/dth, f0/r dY/dph / sin th)
         f0, f1 = self.rad_p[:2]
-        rad = (f0 / self.r).T[:, n]
-        np.multiply(f1.T[:, n], ya, out=e_p[:, 0])
-        np.multiply(rad, yt, out=e_p[:, 1])
-        np.multiply(rad, yps, out=e_p[:, 2])
+        _fill_degrees(e_p[:, 0], f1, 0)
+        _fill_degrees(e_p[:, 1:], f0 / self.r, 0)
         # shear families from degree 1, with c_M and c_N folded into the radial factors
-        cols = n[1:] - 1
-        ya, yt, yps = ya[:, 1:], yt[:, 1:], yps[:, 1:]
         f0, f1 = (f[1:] for f in self.rad_s[:2])
         nn1 = (np.arange(1, self.nmax + 1) * np.arange(2, self.nmax + 2.0))[:, None]
         # E_M = c_M f0 (0, dY/dph / sin th, -dY/dth)
-        rad = (self.kappa_s**2 * self.ref_radius / nn1 * f0).T[:, cols]
         e_m[:, 0] = 0.0
-        np.multiply(rad, yps, out=e_m[:, 1])
-        np.multiply(rad, yt, out=e_m[:, 2])
-        np.negative(e_m[:, 2], out=e_m[:, 2])
+        _fill_degrees(e_m[:, 1:], self.kappa_s**2 * self.ref_radius / nn1 * f0, 1)
         # E_N = c_N (n(n+1) f0/r Y, (f1 + f0/r) dY/dth, (f1 + f0/r) dY/dph / sin th)
         f0r = f0 / self.r
-        np.multiply((np.sqrt(nn1) * f0r).T[:, cols], ya, out=e_n[:, 0])
-        rad = ((f1 + f0r) / np.sqrt(nn1)).T[:, cols]
-        np.multiply(rad, yt, out=e_n[:, 1])
-        np.multiply(rad, yps, out=e_n[:, 2])
+        _fill_degrees(e_n[:, 0], np.sqrt(nn1) * f0r, 1)
+        _fill_degrees(e_n[:, 1:], (f1 + f0r) / np.sqrt(nn1), 1)
+        # each product radial times angular, in that operand order
+        np.multiply(e_p[:, 0], ya, out=e_p[:, 0])
+        np.multiply(e_n[:, 0], ya[:, 1:], out=e_n[:, 0])
+        np.multiply(e_p[:, 2], yps, out=e_p[:, 2])
+        np.multiply(e_m[:, 1], yps[:, 1:], out=e_m[:, 1])
+        np.multiply(e_n[:, 2], yps[:, 1:], out=e_n[:, 2])
+        del yps
+        yt = _theta_table(self.harmonics, self.ref_radius, out=ya)
+        np.multiply(e_p[:, 1], yt, out=e_p[:, 1])
+        np.multiply(e_m[:, 2], yt[:, 1:], out=e_m[:, 2])
+        np.negative(e_m[:, 2], out=e_m[:, 2])
+        np.multiply(e_n[:, 1], yt[:, 1:], out=e_n[:, 1])
         return out
 
     def directional_derivative(self, directions: np.ndarray, coeffs: np.ndarray) -> np.ndarray:

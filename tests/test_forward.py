@@ -298,13 +298,17 @@ def test_blocked_cholesky_rejects_indefinite_matrix(rng):
 
 
 def test_solve_holds_one_square_matrix_besides_a(pwave):
-    # one solve of the 2166 x 673 system holds A, the basis tables and the one
-    # n x n buffer of Gram matrix, Cholesky factor and R^-1, with temporaries
-    # of at most half an n x n matrix besides (measured: 1.29 n^2 in all);
-    # with a separate Gram, factor, inverse and R^-H it peaked at 4.04 n^2
+    # one solve of the 2166 x 673 system holds A, the basis's harmonic factors
+    # and radial tables and the one n x n buffer of Gram matrix, Cholesky
+    # factor and R^-1, with temporaries of at most half an n x n matrix
+    # besides (measured: 34.93 MiB, the peak inside _factor, against a bound
+    # of 35.63 MiB; with the complex angular tables kept on the basis, 40.72 MiB)
     med = modal.Medium(2.0, 1.0, 3.0)
     ell = geo.ellipsoid_coeffs(0.6, 0.75, 0.9, 1)
     opts = fw.SolverOptions(n_trunc=14, quad_order=18, residual_tol=1e-2)
+    # a first solve fills the quadrature caches and finishes numpy's lazy
+    # imports, so that the traced peak is that of one solve in any test order
+    fw.solve_rigid_scattering(ell, pwave, med, R, opts)
     tracemalloc.start()
     try:
         sol = fw.solve_rigid_scattering(ell, pwave, med, R, opts)
@@ -315,8 +319,18 @@ def test_solve_holds_one_square_matrix_besides_a(pwave):
     b = system.basis
     n = b.ncols
     assert system.a.shape == (2166, n)
-    tables = sum(t.nbytes for t in (*b.ang, *b.rad_p, *b.rad_s, b.frame))
+    assert "ang" not in vars(b) and "ang2" not in vars(b)
+    tables = sum(t.nbytes for t in (*b.harmonics, *b.rad_p, *b.rad_s, b.frame))
     assert peak <= system.a.nbytes + tables + 1.5 * n * n * 16
+    # assembly holds at most two complex (npts, nmodes) angular tables besides
+    # its output (measured: 2.24 tables; forming all three at once gave 3.24)
+    tracemalloc.start()
+    try:
+        m = b.matrix(spherical=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= m.nbytes + 2.5 * b.npts * b.nmodes * 16
 
 
 def test_underdetermined_system_raises(med_std, pwave):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from elastoscat import modal, specfun as sf
+from elastoscat import geometry as geo, modal, specfun as sf
 from elastoscat.wavefields import WaveBasis
 
 from oracles import (
@@ -63,9 +63,35 @@ def test_second_order_tables_built_only_for_derivatives(points):
     # built on the first directional derivative
     wb = WaveBasis(KP, KS, R, 4, points)
     wb.matrix()
-    assert "ang2" not in vars(wb)
+    assert "ang" not in vars(wb) and "ang2" not in vars(wb)
     wb.directional_derivative(points, np.ones(wb.ncols))
     assert len(vars(wb)["ang2"]) == 3
+
+
+def assert_bitwise(new, ref):
+    assert new.dtype == ref.dtype and new.shape == ref.shape
+    assert new.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("nmax", [3, 6, 14])
+def test_lazy_tables_leave_every_output_bitwise(nmax, rng):
+    # the basis keeps only the harmonic factors; the complex tables expanded
+    # from them are bitwise those of sph_harmonic_tables, so the outputs do not
+    # depend on whether or when the first-order tables were built
+    sample = geo.sample_boundary(geo.ellipsoid_coeffs(0.6, 0.75, 0.9, 1), nmax + 4)
+    radius = 1.3  # a reference radius that changes the last bits of the tables
+    _, theta, phi = sf.cart_to_sph(sample.points)
+    eager, lazy = (WaveBasis(KP, KS, radius, nmax, sample.points) for _ in range(2))
+    for new, ref in zip(eager.ang, sf.sph_harmonic_tables(nmax, theta, phi)):
+        assert_bitwise(new, ref / radius)
+    coeffs = rng.standard_normal((eager.ncols, 2)) + 1j * rng.standard_normal((eager.ncols, 2))
+    assert "ang" not in vars(lazy)
+    outputs = [
+        (wb.matrix(), wb.matrix(spherical=True), wb.directional_derivative(sample.normals, coeffs))
+        for wb in (lazy, eager)
+    ]
+    for new, ref in zip(*outputs):
+        assert_bitwise(new, ref)
 
 
 def test_gradient_matches_fd(points, rng):
