@@ -17,7 +17,10 @@ rank, (A^+)^H g = A R^-1 R^-H g is the minimum-norm solution of
 A^H x = g; it is computed by corrected semi-normal equations with one
 refinement step, the minimum-norm counterpart of the forward solve's
 (A. Bjorck, Linear Algebra Appl. 88/89 (1987) 31-48).  One gradient thus
-costs one solve with a single column instead of 3 (N+1)^2.
+costs one solve with a single column instead of 3 (N+1)^2.  The normal
+derivative d_nu u of the total field, the Dirichlet data of every u'_i,
+is contracted from the solutions' coefficients on the system's basis
+once per boundary system, for all the datasets on it together.
 :func:`shape_jacobian` still forms J itself, solving only the 3 (N+1)^2
 columns that are not +-m copies of one another, for ``jacobian-dump``.
 """
@@ -38,7 +41,14 @@ from .forward import (
     incident_field,
     solve_rigid_scattering,
 )
-from .geometry import GeometryError, SurfaceParam, coeff_length, distinct_coeff_map, perturbation_q_table
+from .geometry import (
+    BoundarySample,
+    GeometryError,
+    SurfaceParam,
+    coeff_length,
+    distinct_coeff_map,
+    perturbation_q_table,
+)
 from .specfun import DomainError
 
 
@@ -54,16 +64,29 @@ class ObjectiveError(RuntimeError):
 def normal_derivative_total_field(sol: ScatteredSolution, w: IncidentWave) -> np.ndarray:
     """(nu . grad) of the total field on the boundary sample of a solve, shape (npts, 3).
 
-    The scattered part is the analytic normal derivative of the solution's
-    expansion, contracted with its coefficients on the system's basis
-    (no derivative matrix is formed); the incident part is a plane wave in
-    the solution's medium.
+    The one-column case of :func:`_normal_derivatives`, the path the
+    objective gradient takes for all solutions on one system at once.
     """
-    sample = sol.sample
-    grad_inc = incident_field(w, sol.system.med, sample.points)[1]
-    dv = sol.basis.directional_derivative(sample.normals, sol.coeff_vector)
-    du_inc = np.einsum("pil,pl->pi", grad_inc, sample.normals)
-    return du_inc + dv
+    grad_inc = incident_field(w, sol.system.med, sol.sample.points)[1]
+    du_inc = _incident_normal_derivative(grad_inc, sol.sample)
+    return _normal_derivatives(sol.system, sol.coeff_vector[:, None], du_inc[:, :, None])[:, :, 0]
+
+
+def _incident_normal_derivative(grad_inc: np.ndarray, sample: BoundarySample) -> np.ndarray:
+    """(nu . grad) of an incident wave from its Cartesian Jacobians ``grad_inc`` on the sample."""
+    return np.einsum("pil,pl->pi", grad_inc, sample.normals)
+
+
+def _normal_derivatives(system: BoundarySystem, coeffs: np.ndarray, du_inc: np.ndarray) -> np.ndarray:
+    """(nu . grad) of k total fields on the boundary sample of ``system``, shape (npts, 3, k).
+
+    ``du_inc`` (npts, 3, k) holds the incident parts, and ``coeffs``
+    (ncols, k) the scattered fields' coefficient columns.  Their analytic
+    normal derivatives come from one contraction on the system's basis (no
+    derivative matrix is formed), and column j equals a one-column call on
+    column j bitwise.
+    """
+    return du_inc + system.basis.directional_derivative(system.sample.normals, coeffs)
 
 
 @dataclass
@@ -138,39 +161,62 @@ def objective_and_gradient(
     share one boundary system: it is factored once, and every further
     incident wave is re-solved against it.  The Jacobian is never formed:
     each set's gradient is -q . Re(w), with q the perturbation table of its
-    system (built once per system) and
-    w(p) = sum_c conj(T d_nu u)(p, c) (W x)(p, c), where x is the
-    minimum-norm solution of A^H x = S M^H r (one adjoint solve, see the
-    module docstring).
+    system and w(p) = sum_c conj(T d_nu u)(p, c) (W x)(p, c), where x is
+    the minimum-norm solution of A^H x = S M^H r (one adjoint solve, see
+    the module docstring).  Each set pays its own forward solve or
+    re-solve, residual and adjoint solve, each with one column.  The
+    perturbation table and the normal derivatives d_nu u are paid per
+    system, not per set: after the loop over the sets, one batched
+    :meth:`~elastoscat.wavefields.WaveBasis.directional_derivative` gives
+    d_nu u for all of a system's sets, each column bitwise what it gives
+    alone, so the sum does not depend on how the sets share systems.
 
     Raises :class:`ObjectiveError`, chained from the forward solve's error,
     when any forward solve fails, so the descent loop can reject the step
     or, on a residual failure, refine the truncation.
     """
     f = 0.0
-    grad = np.zeros(coeff_length(sp.order)) if with_gradient else None
     first: dict[tuple, ScatteredSolution] = {}  # (medium, R) -> the solve that factored its system
-    q_table: dict[tuple, np.ndarray] = {}  # (medium, R) -> perturbation_q_table on its sample
+    columns: dict[tuple, tuple[list, list]] = {}  # (medium, R) -> coefficient vectors and incident d_nu u
+    adjoint = []  # per dataset, in input order: (medium, R), its column there, W x
     for ds in datasets:
         key = (ds.med, ds.radius)
         try:
             if key in first:
-                sol = first[key].resolve_incident(ds.incident)
+                u_inc, grad_inc = incident_field(ds.incident, ds.med, first[key].sample.points)
+                sol = first[key].resolve(-u_inc)
             else:
                 sol = first[key] = solve_rigid_scattering(sp, ds.incident, ds.med, ds.radius, options)
+                grad_inc = None  # the solve evaluated its Dirichlet data itself
         except (SolverError, GeometryError, DomainError) as exc:
             raise ObjectiveError(f"forward evaluation failed: {exc}") from exc
-        r = (sol.measure(ds.incident, ds.points).u - ds.u).reshape(-1)
+        system = sol.system
+        m = system.measurement_matrix(ds.points)
+        u = incident_field(ds.incident, ds.med, ds.points)[0] + (m @ sol.coeff_vector).reshape(-1, 3)
+        r = (u - ds.u).reshape(-1)
         f += 0.5 * float(np.real(np.vdot(r, r)))
         if with_gradient:
-            system = sol.system
-            if key not in q_table:
-                q_table[key] = perturbation_q_table(sp, sol.sample)
             # S M^H r, with M^H applied as conj(M^T conj(r)) on the read-only cached M
-            g = np.conjugate(system.measurement_matrix(ds.points).T @ np.conjugate(r)) * system.colscale
+            g = np.conjugate(m.T @ np.conjugate(r)) * system.colscale
             z = (_min_norm_solve(system, g) * system.row_w).reshape(-1, 3)
-            dnu = sol.basis.to_frame(normal_derivative_total_field(sol, ds.incident))
-            grad -= q_table[key] @ np.einsum("pc,pc->p", np.conjugate(dnu), z).real
+            if grad_inc is None:
+                grad_inc = incident_field(ds.incident, ds.med, sol.sample.points)[1]
+            coeffs, du_inc = columns.setdefault(key, ([], []))
+            adjoint.append((key, len(coeffs), z))
+            coeffs.append(sol.coeff_vector)
+            du_inc.append(_incident_normal_derivative(grad_inc, sol.sample))
     if not np.isfinite(f):
         raise ObjectiveError("objective is not finite")
-    return (f, grad) if with_gradient else f
+    if not with_gradient:
+        return f
+    dnu, q_table = {}, {}
+    for key, (coeffs, du_inc) in columns.items():
+        system = first[key].system
+        dnu[key] = _normal_derivatives(system, np.stack(coeffs, axis=1), np.stack(du_inc, axis=2))
+        q_table[key] = perturbation_q_table(sp, system.sample)
+    grad = np.zeros(coeff_length(sp.order))
+    for key, j, z in adjoint:
+        # a contiguous column, as a one-dataset bundle has it: the rotation sees the same layout
+        w = first[key].basis.to_frame(np.ascontiguousarray(dnu[key][:, :, j]))
+        grad -= q_table[key] @ np.einsum("pc,pc->p", np.conjugate(w), z).real
+    return f, grad

@@ -258,6 +258,24 @@ def perturbation_q_table(sp: SurfaceParam, sample: BoundarySample) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 
+def _azimuthal_step(th, ph, dth, dph):
+    """(th, ph) after the step (dth, dph) taken as a straight line in the
+    azimuthal chart t (cos ph, sin ph) of the nearer pole, t the angle from it.
+
+    Near a pole, where a step swings ph by more than a radian, that chart is
+    regular and (th, ph) is not: the step is the same to first order, but
+    taken in (th, ph) it lands at an arbitrary ph.
+    """
+    south = th > np.pi / 2
+    t = np.where(south, np.pi - th, th)
+    dt = np.where(south, -dth, dth)
+    c, s = np.cos(ph), np.sin(ph)
+    qx = (t + dt) * c - t * dph * s
+    qy = (t + dt) * s + t * dph * c
+    t = np.hypot(qx, qy)
+    return np.where(south, np.pi - t, t), np.arctan2(qy, qx)
+
+
 def radial_function(sp: SurfaceParam, directions: np.ndarray):
     """Distance from the origin to the surface along unit directions.
 
@@ -265,8 +283,11 @@ def radial_function(sp: SurfaceParam, directions: np.ndarray):
     F = p - (p . d) d (the component of the surface point transverse to the
     ray).  The tiny Tikhonov floor keeps the 2x2 normal equations solvable
     where the (th, ph) chart degenerates (ray through a parametrization
-    pole, where every ph solves the problem).  Requires the surface to be
-    star-shaped about the origin.
+    pole, where every ph solves the problem).  A step is capped at 0.5 in
+    length on the parameter sphere, sqrt(dth^2 + sin^2 th dph^2), so ph
+    is free to turn near a pole, and a step that turns it by more than a
+    radian is taken in the pole's azimuthal chart (:func:`_azimuthal_step`).
+    Requires the surface to be star-shaped about the origin.
     """
     d = np.atleast_2d(np.asarray(directions, dtype=float))
     d = d / np.linalg.norm(d, axis=1, keepdims=True)
@@ -294,10 +315,14 @@ def radial_function(sp: SurfaceParam, directions: np.ndarray):
         det = a11 * a22 - a12**2
         dth = (a22 * b1 - a12 * b2) / det
         dph = (-a12 * b1 + a11 * b2) / det
-        step = np.sqrt(dth**2 + dph**2)
+        step = np.sqrt(dth**2 + (np.sin(th) * dph) ** 2)  # the step's length on the parameter sphere
         lim = np.where(step > 0.5, 0.5 / np.maximum(step, 1e-30), 1.0)
-        th = th + lim * dth
-        ph = ph + lim * dph
+        dth, dph = lim * dth, lim * dph
+        swing = np.abs(dph) > 1.0  # only near a chart pole
+        th_new, ph_new = th + dth, ph + dph
+        if np.any(swing):
+            th_new[swing], ph_new[swing] = _azimuthal_step(th[swing], ph[swing], dth[swing], dph[swing])
+        th, ph = th_new, ph_new
     else:
         raise GeometryError("radial ray cast did not converge")
     rho = np.sum(pts * d, axis=1)

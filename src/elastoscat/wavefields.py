@@ -27,11 +27,15 @@ phases of :func:`elastoscat.specfun.sph_harmonic_factors`, a fifth of the
 three complex tables' bytes at nmax = 14: assembly expands the tables at
 most two at a time and drops them, and only the derivative keeps its own.
 Directional derivatives are contracted with coefficients instead of formed
-as a matrix: the angular tables are contracted within each degree first,
-and the spherical-frame Hessians of the scalar modes are then evaluated
-once over the degree axis.  The only third-order derivative needed is the radial
-derivative of the Hessian, which the symmetry of third derivatives reduces
-to (x . grad) Hess = r d/dr Hess.
+as a matrix.  Each entry of the spherical-frame derivative of each family
+is a sum over the six angular tables of one radial factor times one
+component of the direction times that table, so one table at a time is
+contracted with the k coefficient columns within each degree, weighted and
+summed over the degrees: k columns hold one contracted table of k columns,
+and each column of the result is bitwise that of a one-column call.  The
+only third-order derivative needed is the radial derivative of the
+Hessian, which the symmetry of third derivatives reduces to
+(x . grad) Hess = r d/dr Hess.
 """
 
 from __future__ import annotations
@@ -245,7 +249,9 @@ class WaveBasis:
         every point; ``coeffs`` has shape (ncols,) or (ncols, k).  Returns
         Cartesian derivatives of shape (npts, 3) or (npts, 3, k); with
         ``coeffs = np.eye(ncols)`` those of every basis field.  Temporaries
-        are of size (nmax+1) * k * npts.
+        are one contracted angular table of 3 (nmax+1) k npts entries and a
+        scratch array of a third of that; column j of the result is bitwise
+        that of a call on column j alone.
         """
         directions = np.atleast_2d(np.asarray(directions, dtype=float))
         nu = np.sum(self.frame * directions, axis=2)  # spherical components, (3, npts)
@@ -256,7 +262,18 @@ class WaveBasis:
     def _derivative_frame(self, nu: np.ndarray, c: np.ndarray) -> np.ndarray:
         """Spherical-frame components, shape (3, k, npts), of the derivatives
         along ``nu`` (spherical components, (3, npts)) of the fields with
-        coefficient columns ``c``."""
+        coefficient columns ``c``.
+
+        With H the spherical-frame Hessian of a scalar mode s, the
+        derivatives are H nu for E_P, (H nu) x x + grad s x nu for E_M and
+        (3 H + r dH/dr) nu + kappa_s^2 ((grad s . nu) x + s nu) for E_N.
+        Each component of each is a sum of (radial factor) (component of
+        nu) (angular table) terms, listed in ``terms``.  Each angular table
+        is contracted with all three families' coefficients within each
+        degree, and each term's (family, component) slice of that is
+        weighted on (degree, point) and summed over the degrees into the
+        output before the next table is contracted.  The weights do not
+        depend on k, and each column takes the same operations as alone."""
         nm, k, deg = self.nmodes, c.shape[1], self.nmax + 1
         n = specfun.harmonic_columns(self.nmax)[0]
         nn1 = n[1:] * (n[1:] + 1.0)
@@ -265,48 +282,36 @@ class WaveBasis:
         fam[1, :, 1:] = c[nm : 2 * nm - 1].T / np.sqrt(nn1)
         fam[2, :, 1:] = c[2 * nm - 1 :].T * (self.kappa_s**2 * self.ref_radius / nn1)
         fam = fam.reshape(3 * k, nm)
-        # every angular table contracted with each family's coefficients within each degree
-        tabs = []
-        for t in self.ang + self.ang2:
-            out = np.empty((3, deg, k, self.npts), dtype=complex)
+        r = self.r
+        f0, f1, f2, _ = self.rad_p
+        p_a, p_b, p_c, p_d = f2, f1 / r - f0 / r**2, f0 / r**2, f1 / r
+        f0, f1, f2, f3 = self.rad_s
+        ks2 = self.kappa_s**2
+        m_a, m_b = f0 / r, f1
+        n_b, n_c = f2 + f1 / r - f0 / r**2, f0 / r**2 + f1 / r
+        n_a, n_e, n_d = 3 * f2 + r * f3 + ks2 * (r * f1 + f0), n_b + ks2 * f0, f2 + 2 * f1 / r + ks2 * f0
+        nus = np.concatenate([nu, -nu])  # rows 3, 4, 5 give the terms of E_M that enter with a minus sign
+        P, N, M = range(3)
+        # per table (ya, yt, yps, ytt, atp, app): (family, component, radial factor, row of nus);
+        # the terms of E_M in ya cancel exactly and have no entry
+        terms = (
+            ((P, 0, p_a, 0), (P, 1, p_d, 1), (P, 2, p_d, 2), (N, 0, n_a, 0), (N, 1, n_d, 1), (N, 2, n_d, 2)),
+            ((P, 0, p_b, 1), (P, 1, p_b, 0), (M, 0, m_a, 2), (M, 2, m_b, 3), (N, 0, n_e, 1), (N, 1, n_b, 0)),
+            ((P, 0, p_b, 2), (P, 2, p_b, 0), (M, 0, m_a, 4), (M, 1, m_b, 0), (N, 0, n_e, 2), (N, 2, n_b, 0)),
+            ((P, 1, p_c, 1), (M, 2, m_a, 4), (N, 1, n_c, 1)),
+            ((P, 1, p_c, 2), (P, 2, p_c, 1), (M, 1, m_a, 1), (M, 2, m_a, 5), (N, 1, n_c, 2), (N, 2, n_c, 1)),
+            ((P, 2, p_c, 2), (M, 1, m_a, 2), (N, 2, n_c, 2)),
+        )
+        out = np.zeros((3, k, self.npts), dtype=complex)
+        tab = np.empty((3, k, deg, self.npts), dtype=complex)
+        scratch = np.empty((k, deg, self.npts), dtype=complex)
+        for t, table_terms in zip(self.ang + self.ang2, terms):
             for d in range(deg):
                 cols = slice(d * d, (d + 1) ** 2)
-                out[:, d] = (fam[:, cols] @ t[:, cols].T).reshape(3, k, self.npts)
-            tabs.append(out)
-        tab_p, tab_n, tab_m = ([t[f] for t in tabs] for f in range(3))
-        # everything below is (nmax+1, k, npts): the Hessian formulas once over the degree axis
-        r = self.r
-        f0, f1, f2, _ = (f[:, None, :] for f in self.rad_p)
-        d_p = _sym_matvec((f2, f1 / r - f0 / r**2, f0 / r**2, f1 / r), tab_p, nu)
-        f0, f1, f2, f3 = (f[:, None, :] for f in self.rad_s)
-        # J_M . nu = (H nu) x  x + grad s x nu
-        h_nu = _sym_matvec((f2, f1 / r - f0 / r**2, f0 / r**2, f1 / r), tab_m, nu)
-        g = (f1 * tab_m[0], f0 / r * tab_m[1], f0 / r * tab_m[2])
-        d_m = (
-            g[1] * nu[2] - g[2] * nu[1],
-            r * h_nu[2] + g[2] * nu[0] - g[0] * nu[2],
-            g[0] * nu[1] - g[1] * nu[0] - r * h_nu[1],
-        )
-        # J_N . nu = (3 H + r dH/dr) nu + kappa^2 ((grad s . nu) x + s nu)
-        ks2 = self.kappa_s**2
-        h_nu = _sym_matvec((3 * f2 + r * f3, f2 + f1 / r - f0 / r**2, f0 / r**2 + f1 / r, f2 + 2 * f1 / r), tab_n, nu)
-        g_nu = f1 * nu[0] * tab_n[0] + f0 / r * nu[1] * tab_n[1] + f0 / r * nu[2] * tab_n[2]
-        s = ks2 * f0 * tab_n[0]
-        d_n = (h_nu[0] + ks2 * r * g_nu + s * nu[0], h_nu[1] + s * nu[1], h_nu[2] + s * nu[2])
-        return np.stack([np.sum(a + b + e, axis=0) for a, b, e in zip(d_p, d_m, d_n)])
-
-
-def _sym_matvec(coef, tabs, v):
-    """H v for the symmetric spherical-frame matrix H with entries rr = a ya,
-    rt = b yt, rp = b yps, tt = c ytt + d ya, tp = c atp, pp = c app + d ya,
-    ``(a, b, c, d) = coef``: (f'', f'/r - f/r^2, f/r^2, f'/r) for the Hessian
-    of f(r) Y/R, (r f''', f'' - 2 f'/r + 2 f/r^2, f'/r - 2 f/r^2, f'' - f'/r) for its r d/dr.
-    """
-    a, b, c, d = coef
-    ya, yt, yps, ytt, atp, app = tabs
-    # each per-point factor is multiplied before the (nmax+1, k, npts) table it scales
-    return (
-        a * v[0] * ya + b * v[1] * yt + b * v[2] * yps,
-        b * v[0] * yt + c * v[1] * ytt + d * v[1] * ya + c * v[2] * atp,
-        b * v[0] * yps + c * v[1] * atp + c * v[2] * app + d * v[2] * ya,
-    )
+                np.matmul(fam[:, cols], t[:, cols].T, out=tab[:, :, d].reshape(3 * k, self.npts))
+            for f, comp, rad, v in table_terms:
+                w = rad * nus[v]
+                for j in range(k):  # one column at a time: numpy buffers a broadcast operand
+                    np.multiply(w, tab[f, j], out=scratch[j])
+                out[comp] += scratch.sum(axis=1)
+        return out

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from elastoscat import derivative as dv, forward as fw, geometry as geo, inverse as inv, modal, specfun as sf
+from elastoscat.wavefields import WaveBasis
 
 from oracles import basis_gradient, decode_coeff_index, encode_coeff_index, jacobian_gradient
 
@@ -314,6 +315,38 @@ def test_adjoint_gradient_matches_jacobian(sp, omegas, waves, n_trunc, household
     _, g = dv.objective_and_gradient(sp, data, opts)
     ref = jacobian_gradient(sp, data, opts)
     assert np.linalg.norm(g - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_interleaved_bundle_takes_one_derivative_per_system(monkeypatch):
+    # [(w1, d1), (w2, d1), (w1, d2), (w2, d2)]: the normal derivatives of each
+    # frequency's two solutions come from one batched call on its system, and
+    # f and g are still the input-order sums of the single-dataset calls
+    data = _synthesized(geo.ellipsoid_coeffs(0.66, 0.72, 0.85, 2), (1.0, 2.0), _WAVES[:2], fw.fibonacci_sphere(40, R))
+    bundle = [data[0], data[2], data[1], data[3]]
+    sp = geo.ellipsoid_coeffs(0.62, 0.73, 0.88, 2)
+    opts = fw.SolverOptions(n_trunc=8, residual_tol=1e-1)
+    columns = []
+    real = WaveBasis._derivative_frame
+
+    def counted(self, nu, c):
+        columns.append(c.shape[1])
+        return real(self, nu, c)
+
+    monkeypatch.setattr(WaveBasis, "_derivative_frame", counted)
+    singles = [dv.objective_and_gradient(sp, [ds], opts) for ds in bundle]
+    assert columns == [1, 1, 1, 1]
+    columns.clear()
+    f, g = dv.objective_and_gradient(sp, bundle, opts)
+    assert columns == [2, 2]
+    f_sum, g_sum = 0.0, np.zeros_like(g)
+    for fi, gi in singles:
+        f_sum += fi
+        g_sum += gi
+    assert f == f_sum
+    np.testing.assert_array_equal(g, g_sum)
+    columns.clear()
+    assert dv.objective_and_gradient(sp, bundle, opts, with_gradient=False) == f
+    assert columns == []
 
 
 def test_descent_builds_no_jacobian(ellipsoid_dataset, monkeypatch):

@@ -241,6 +241,60 @@ def test_cross_section_of_ellipsoid_matches_plane_law():
     np.testing.assert_allclose(val, 1.0, atol=1e-9)
 
 
+def _rotated_parametrization(alpha, order, perturbation=0.0):
+    """The ellipsoid (0.6, 0.75, 0.9) turned by ``alpha`` about the y axis, with
+    its parametrization: the chart's pole goes to (sin alpha, 0, cos alpha).
+    ``perturbation`` adds seeded random degree-3 coefficients of that size."""
+    base = geo.ellipsoid_coeffs(0.6, 0.75, 0.9, order)
+    c, s = math.cos(alpha), math.sin(alpha)
+    rot = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+    sp = geo.SurfaceParam(order, np.zeros(geo.coeff_length(order)))
+    for j in (1, 2, 3):
+        for imag in (False, True):
+            sp.block(j, imag)[:] = sum(rot[j - 1, l - 1] * base.block(l, imag) for l in (1, 2, 3))
+    degree3 = np.arange(sp.coeffs.size) % 16 >= 9
+    sp.coeffs += perturbation * np.random.default_rng(0).standard_normal(sp.coeffs.size) * degree3
+    return sp, rot
+
+
+def _ray_cast_steps(monkeypatch, sp, plane):
+    """Gauss-Newton steps of the ray cast of one cross section, counted through surface_points."""
+    calls = []
+    real = geo.surface_points
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(geo, "surface_points", counted)
+    return geo.cross_section(sp, plane), len(calls) - 1
+
+
+def test_ray_cast_converges_fast_near_an_off_axis_pole(monkeypatch):
+    # the x2 plane holds the z axis, and the order-3 surface's parameter pole
+    # lies just off it: the rays along +-z start at a chart pole, where ph is
+    # free to turn (a cap on sqrt(dth^2 + dph^2) took 16 steps here)
+    sp, _ = _rotated_parametrization(0.05, 3, perturbation=0.02)
+    _, steps = _ray_cast_steps(monkeypatch, sp, "x2")
+    assert steps <= 10
+
+
+@pytest.mark.parametrize("plane", ["x1", "x2"])
+def test_ray_cast_with_a_turned_parametrization(monkeypatch, plane):
+    # the chart pole 1.2 rad off the z axis: the first steps of the rays along
+    # +-z turn ph by far more than a radian, and taken in (th, ph) they ended
+    # on the far side of the surface
+    sp, rot = _rotated_parametrization(1.2, 1)
+    section, steps = _ray_cast_steps(monkeypatch, sp, plane)
+    u1, u2 = geo._PLANES[plane]
+    t = section[:, 0]
+    d = np.outer(np.cos(t), u1) + np.outer(np.sin(t), u2)
+    local = d @ rot  # the directions in the ellipsoid's own axes
+    rho = 1.0 / np.sqrt(np.sum((local / np.array([0.6, 0.75, 0.9])) ** 2, axis=1))
+    np.testing.assert_allclose(section[:, 1:], rho[:, None] * np.column_stack([np.cos(t), np.sin(t)]), atol=1e-12)
+    assert steps <= 10
+
+
 def test_cross_section_unknown_plane():
     with pytest.raises(geo.GeometryError):
         geo.cross_section(geo.sphere_coeffs(0.5, 1), "x4")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,49 @@ def test_lazy_tables_leave_every_output_bitwise(nmax, rng):
     ]
     for new, ref in zip(*outputs):
         assert_bitwise(new, ref)
+
+
+def _points_with_poles(rng, npts):
+    pts = rng.normal(size=(npts, 3))
+    pts *= rng.uniform(0.55, 1.5, size=(npts, 1)) / np.linalg.norm(pts, axis=1, keepdims=True)
+    pts[0] = (0.0, 0.0, 0.8)  # north pole
+    pts[1] = (0.0, 0.0, -1.2)  # south pole
+    return pts
+
+
+@pytest.mark.parametrize("nmax", [0, 1, 3, 9])
+def test_batched_derivative_equals_single_columns_bitwise(nmax, rng):
+    # the objective takes the derivatives of all datasets on one system from
+    # one batched call; each column must be what a call on that column alone gives
+    pts = _points_with_poles(rng, 40)
+    wb = WaveBasis(KP, KS, R, nmax, pts)
+    nu = rng.normal(size=pts.shape)
+    coeffs = rng.standard_normal((wb.ncols, 6)) + 1j * rng.standard_normal((wb.ncols, 6))
+    batch = wb.directional_derivative(nu, coeffs)
+    for j in range(coeffs.shape[1]):
+        assert_bitwise(np.ascontiguousarray(batch[:, :, j]), wb.directional_derivative(nu, coeffs[:, j]))
+
+
+def test_batched_derivative_holds_one_contracted_table(rng):
+    # k columns are contracted with one angular table at a time and summed over
+    # the degrees before the next: the peak is that (3, nmax+1, k, npts) table,
+    # one (nmax+1, k, npts) scratch array, the (3, k, npts) output and a fixed
+    # count of (nmax+1, npts) weights, not six contracted tables (2262 KiB
+    # here; measured 419 KiB against the bound's 436 KiB)
+    nmax, k, npts = 4, 6, 128
+    wb = WaveBasis(KP, KS, R, nmax, _points_with_poles(rng, npts))
+    nu = rng.normal(size=(npts, 3))
+    coeffs = rng.standard_normal((wb.ncols, k)) + 1j * rng.standard_normal((wb.ncols, k))
+    wb.directional_derivative(nu, coeffs)  # builds the angular tables the basis keeps
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        wb.directional_derivative(nu, coeffs)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    deg, row = nmax + 1, 16 * npts  # bytes of one complex row of npts
+    assert peak <= (3 * deg * k + deg * k + 3 * k + 16 * deg) * row, peak
 
 
 def test_gradient_matches_fd(points, rng):
