@@ -6,23 +6,23 @@ b_i = -q_i * (normal derivative of the total field) on the surface; the
 transparent boundary condition on the measurement sphere is automatic for
 the outgoing basis.  All coefficient columns share the forward solve's
 :class:`~elastoscat.forward.BoundarySystem` (the system matrix depends only
-on geometry, medium and truncation).
+on geometry, medium and truncation).  Boundary-side vectors stay in each
+sample point's frame (e_r, e_th, e_ph), the frame the system is solved in:
+the normal derivative d_nu u of the total field, the data b_i and the
+adjoint field are all given by their components along it, and only the
+incident wave's Cartesian d_nu u_inc is rotated into it.
 
 The descent needs only Re(J^H r) of the shape Jacobian J, and that comes
-from the adjoint: with c_i = S A^+ W T b_i (T the rotation into each
-point's frame, W the row weights, A the equilibrated matrix, S its column
-scaling) and M the measurement matrix, the gradient entry is
-Re(b_i^H z) with z = T^T W (A^+)^H S M^H r.  Because A has full column
-rank, (A^+)^H g = A R^-1 R^-H g is the minimum-norm solution of
-A^H x = g; it is computed by corrected semi-normal equations with one
-refinement step, the minimum-norm counterpart of the forward solve's
-(A. Bjorck, Linear Algebra Appl. 88/89 (1987) 31-48).  One gradient thus
-costs one solve with a single column instead of 3 (N+1)^2.  The normal
-derivative d_nu u of the total field, the Dirichlet data of every u'_i,
-is contracted from the solutions' coefficients on the system's basis
-once per boundary system, for all the datasets on it together.
-:func:`shape_jacobian` still forms J itself, solving only the 3 (N+1)^2
-columns that are not +-m copies of one another, for ``jacobian-dump``.
+from the adjoint: with c_i = S A^+ W b_i (W the row weights, A the
+equilibrated matrix, S its column scaling) and M the measurement matrix,
+the gradient entry is Re(b_i^H z) with z = W (A^+)^H S M^H r, which
+:meth:`~elastoscat.forward.BoundarySystem.adjoint_solve` gives from one
+minimum-norm solve with a single column instead of 3 (N+1)^2.  The normal
+derivative d_nu u, the Dirichlet data of every u'_i, is contracted from
+the solutions' coefficients on the system's basis once per boundary
+system, for all the datasets on it together.  :func:`shape_jacobian`
+still forms J itself, solving only the 3 (N+1)^2 columns that are not
++-m copies of one another, for ``jacobian-dump``.
 """
 
 from __future__ import annotations
@@ -62,31 +62,40 @@ class ObjectiveError(RuntimeError):
 
 
 def normal_derivative_total_field(sol: ScatteredSolution, w: IncidentWave) -> np.ndarray:
-    """(nu . grad) of the total field on the boundary sample of a solve, shape (npts, 3).
+    """(nu . grad) of the total field on the boundary sample of a solve, shape
+    (npts, 3), as components along each point's frame (e_r, e_th, e_ph).
 
     The one-column case of :func:`_normal_derivatives`, the path the
     objective gradient takes for all solutions on one system at once.
     """
     grad_inc = incident_field(w, sol.system.med, sol.sample.points)[1]
     du_inc = _incident_normal_derivative(grad_inc, sol.sample)
-    return _normal_derivatives(sol.system, sol.coeff_vector[:, None], du_inc[:, :, None])[:, :, 0]
+    return _normal_derivatives(sol.system, sol.coeff_vector[:, None], [du_inc])[:, :, 0]
 
 
 def _incident_normal_derivative(grad_inc: np.ndarray, sample: BoundarySample) -> np.ndarray:
-    """(nu . grad) of an incident wave from its Cartesian Jacobians ``grad_inc`` on the sample."""
+    """(nu . grad) of an incident wave from its Cartesian Jacobians ``grad_inc``
+    on the sample, in Cartesian components."""
     return np.einsum("pil,pl->pi", grad_inc, sample.normals)
 
 
-def _normal_derivatives(system: BoundarySystem, coeffs: np.ndarray, du_inc: np.ndarray) -> np.ndarray:
-    """(nu . grad) of k total fields on the boundary sample of ``system``, shape (npts, 3, k).
+def _normal_derivatives(system: BoundarySystem, coeffs: np.ndarray, du_inc: list) -> np.ndarray:
+    """(nu . grad) of k total fields on the boundary sample of ``system``, shape
+    (npts, 3, k), in the point frames.
 
-    ``du_inc`` (npts, 3, k) holds the incident parts, and ``coeffs``
-    (ncols, k) the scattered fields' coefficient columns.  Their analytic
-    normal derivatives come from one contraction on the system's basis (no
-    derivative matrix is formed), and column j equals a one-column call on
-    column j bitwise.
+    ``du_inc`` lists the k incident parts in Cartesian components, (npts, 3)
+    each, and ``coeffs`` (ncols, k) holds the scattered fields' coefficient
+    columns.  The scattered parts' analytic normal derivatives come from one
+    contraction on the system's basis (no derivative matrix is formed), and
+    each incident part is rotated into the frames on its own, since a
+    batched rotation rounds otherwise than a single one: column j equals a
+    one-column call on column j bitwise, and so does its memory layout.
     """
-    return du_inc + system.basis.directional_derivative(system.sample.normals, coeffs)
+    basis = system.basis
+    dnu = basis.directional_derivative(system.sample.normals, coeffs)
+    for j, du in enumerate(du_inc):
+        dnu[:, :, j] += basis.to_frame(du)
+    return dnu
 
 
 @dataclass
@@ -126,24 +135,6 @@ def shape_jacobian(sp: SurfaceParam, sol: ScatteredSolution, w: IncidentWave, po
     return ShapeJacobian(matrix)
 
 
-def _min_norm_solve(system: BoundarySystem, g: np.ndarray) -> np.ndarray:
-    """(A^+)^H g = A R^-1 R^-H g, the minimum-norm solution of A^H x = g.
-
-    Corrected semi-normal equations: x = A R^-1 R^-H g, then one refinement
-    step with the residual g - A^H x.  A^H and R^-H are applied as
-    conj(A^T conj(.)) and conj(R^-T conj(.)), so neither ``a`` nor ``right``
-    is copied.
-    """
-    a, right = system.a, system.right
-
-    def seminormal(h):
-        return a @ (right @ np.conjugate(right.T @ np.conjugate(h)))
-
-    x = seminormal(g)
-    x += seminormal(g - np.conjugate(a.T @ np.conjugate(x)))  # the one refinement step
-    return x
-
-
 def objective_and_gradient(
     sp: SurfaceParam,
     datasets: list[MeasurementSet],
@@ -161,12 +152,13 @@ def objective_and_gradient(
     share one boundary system: it is factored once, and every further
     incident wave is re-solved against it.  The Jacobian is never formed:
     each set's gradient is -q . Re(w), with q the perturbation table of its
-    system and w(p) = sum_c conj(T d_nu u)(p, c) (W x)(p, c), where x is
-    the minimum-norm solution of A^H x = S M^H r (one adjoint solve, see
-    the module docstring).  Each set pays its own forward solve or
-    re-solve, residual and adjoint solve, each with one column.  The
-    perturbation table and the normal derivatives d_nu u are paid per
-    system, not per set: after the loop over the sets, one batched
+    system and w(p) = sum_c conj(d_nu u)(p, c) z(p, c) over the frame
+    components c, where z = ``system.adjoint_solve(M^H r)`` is the adjoint
+    field (one minimum-norm solve, see the module docstring).  Each set
+    pays its own forward solve or re-solve, residual and adjoint solve,
+    each with one column.  The perturbation table and the normal
+    derivatives d_nu u are paid per system, not per set: after the loop
+    over the sets, one batched
     :meth:`~elastoscat.wavefields.WaveBasis.directional_derivative` gives
     d_nu u for all of a system's sets, each column bitwise what it gives
     alone, so the sum does not depend on how the sets share systems.
@@ -178,7 +170,7 @@ def objective_and_gradient(
     f = 0.0
     first: dict[tuple, ScatteredSolution] = {}  # (medium, R) -> the solve that factored its system
     columns: dict[tuple, tuple[list, list]] = {}  # (medium, R) -> coefficient vectors and incident d_nu u
-    adjoint = []  # per dataset, in input order: (medium, R), its column there, W x
+    adjoint = []  # per dataset, in input order: (medium, R), its column there, the adjoint field z
     for ds in datasets:
         key = (ds.med, ds.radius)
         try:
@@ -196,9 +188,8 @@ def objective_and_gradient(
         r = (u - ds.u).reshape(-1)
         f += 0.5 * float(np.real(np.vdot(r, r)))
         if with_gradient:
-            # S M^H r, with M^H applied as conj(M^T conj(r)) on the read-only cached M
-            g = np.conjugate(m.T @ np.conjugate(r)) * system.colscale
-            z = (_min_norm_solve(system, g) * system.row_w).reshape(-1, 3)
+            # M^H r, applied as conj(M^T conj(r)) on the read-only cached M
+            z = system.adjoint_solve(np.conjugate(m.T @ np.conjugate(r)))
             if grad_inc is None:
                 grad_inc = incident_field(ds.incident, ds.med, sol.sample.points)[1]
             coeffs, du_inc = columns.setdefault(key, ([], []))
@@ -212,11 +203,9 @@ def objective_and_gradient(
     dnu, q_table = {}, {}
     for key, (coeffs, du_inc) in columns.items():
         system = first[key].system
-        dnu[key] = _normal_derivatives(system, np.stack(coeffs, axis=1), np.stack(du_inc, axis=2))
+        dnu[key] = _normal_derivatives(system, np.stack(coeffs, axis=1), du_inc)
         q_table[key] = perturbation_q_table(sp, system.sample)
     grad = np.zeros(coeff_length(sp.order))
     for key, j, z in adjoint:
-        # a contiguous column, as a one-dataset bundle has it: the rotation sees the same layout
-        w = first[key].basis.to_frame(np.ascontiguousarray(dnu[key][:, :, j]))
-        grad -= q_table[key] @ np.einsum("pc,pc->p", np.conjugate(w), z).real
+        grad -= q_table[key] @ np.einsum("pc,pc->p", np.conjugate(dnu[key][:, :, j]), z).real
     return f, grad

@@ -23,14 +23,19 @@ Right-hand sides are solved by corrected semi-normal equations
 (CSNE: y = R^-1 R^-H A^H b) followed by exactly one refinement
 step with the residual b - A y, which brings the accuracy back to that of
 a QR solve (A. Bjorck, Linear Algebra Appl. 88/89 (1987) 31-48) as long as
-cond_2(A)^2 eps is small.  One number, kappa = sqrt(cols) ||R^-1||_F (an
-upper bound on cond_2(A)), is the reported condition and decides the
-rest: past a limit on kappa^2 eps, or when the Cholesky fails, the buffer
-is dropped and R comes from a Householder QR that forms R only (such a
-system pays Gram, Cholesky and QR, about 1.5 times a QR alone).  The fit
-is meaningful only with full column rank, so a system whose kappa cannot
-rule out a singular value below a relative cutoff raises
-:class:`SolverError`.
+cond_2(A)^2 eps is small; the adjoint solves of the objective gradient
+take the minimum-norm counterpart, x = A R^-1 R^-H g, in the same way.
+One number, kappa = sqrt(cols) ||R^-1||_F (an upper bound on
+cond_2(A)), is the reported condition and decides the rest: past a limit
+on kappa^2 eps, or when the Cholesky fails, the buffer is dropped and R
+comes from a Householder QR that forms R only (such a system pays Gram,
+Cholesky and QR, about 1.5 times a QR alone).  The fit is meaningful only
+with full column rank, so a system whose kappa cannot rule out a singular
+value below a relative cutoff raises :class:`SolverError`.  The Cholesky
+factor and the triangular inverse are written here on numpy, which has
+no potrf, trtri or trsm: scipy.linalg has them, but importing it costs
+about 0.3 s and 26 MB of resident memory per process, more than the
+factorizations of a short run save.
 """
 
 from __future__ import annotations
@@ -169,8 +174,11 @@ class BoundarySystem:
     factor of the Gram matrix, or the R of a Householder QR for systems too
     ill-conditioned for it), ``right = R^-1`` and is the system's only n x n
     matrix: no Q is formed, R^-H is applied through ``right`` itself, and
-    every right-hand side is solved by corrected semi-normal equations with
-    one refinement step against ``a``.  Besides ``a`` and ``right``, the
+    every right-hand side, given in the point frames, is solved by
+    corrected semi-normal equations with one refinement step against ``a``
+    (:meth:`adjoint_solve` gives the minimum-norm solutions of the adjoint
+    system the same way).  No other module of the library reads ``a``,
+    ``right``, ``colscale`` or ``row_w``.  Besides ``a`` and ``right``, the
     system holds only ``basis``'s harmonic factors, radial tables and point
     frames (3.0 MiB against A's 22.2 MiB at n_trunc 14 and 722 points); the
     basis builds its complex angular tables only for a directional
@@ -193,11 +201,10 @@ class BoundarySystem:
     condition: float
 
     def _solve(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(y, bw)``: ``bw`` the right-hand sides, ``values`` rotated into
-        the spherical frames and row-weighted, and ``y`` the least-squares
-        solution of A y = bw in the equilibrated unknowns."""
-        bw = self.basis.to_frame(values).reshape((-1,) + values.shape[2:])
-        bw *= self.row_w.reshape((-1,) + (1,) * (bw.ndim - 1))
+        """``(y, bw)``: ``bw`` the right-hand sides ``values``, given in the
+        spherical frames (npts, 3[, k]), row-weighted, and ``y`` the
+        least-squares solution of A y = bw in the equilibrated unknowns."""
+        bw = values.reshape((-1,) + values.shape[2:]) * self.row_w.reshape((-1,) + (1,) * (values.ndim - 2))
         y = self._seminormal(bw)
         y += self._seminormal(bw - self.a @ y)  # the one refinement step
         return y, bw
@@ -207,12 +214,33 @@ class BoundarySystem:
         y *= self.colscale.reshape((-1,) + (1,) * (y.ndim - 1))
         return y
 
-    def _seminormal(self, bw: np.ndarray) -> np.ndarray:
-        """R^-1 R^-H A^H bw: the semi-normal solution.
+    def _gram_inverse(self, u: np.ndarray) -> np.ndarray:
+        """(A^H A)^-1 u = R^-1 R^-H u, with R^-H u formed as conj(R^-T conj(u))
+        so that R^-H is never copied."""
+        return self.right @ np.conjugate(self.right.T @ np.conjugate(u))
 
-        R^-H A^H bw is formed as conj(R^-T A^T conj(bw)), so neither A^H nor
-        R^-H is ever copied."""
-        return self.right @ np.conjugate(self.right.T @ (self.a.T @ np.conjugate(bw)))
+    def _seminormal(self, bw: np.ndarray) -> np.ndarray:
+        """R^-1 R^-H A^H bw: the semi-normal solution, with A^H bw formed as
+        conj(A^T conj(bw)) so that A^H is never copied."""
+        return self._gram_inverse(np.conjugate(self.a.T @ np.conjugate(bw)))
+
+    def adjoint_solve(self, g: np.ndarray) -> np.ndarray:
+        """W x as an (npts, 3) array, x the minimum-norm solution of
+        A^H x = S g (S = diag(``colscale``), W = diag(``row_w``)).
+
+        A has full column rank, so x = (A^+)^H S g = A R^-1 R^-H S g.  It is
+        computed by corrected semi-normal equations with one refinement
+        step with the residual S g - A^H x, the minimum-norm counterpart of
+        :meth:`_solve` (A. Bjorck, Linear Algebra Appl. 88/89 (1987) 31-48).
+        With g = M^H r for a measurement matrix M and a residual r, W x is
+        the adjoint field whose product with the Dirichlet data of a
+        domain-derivative field gives that field's share of Re(J^H r).
+        """
+        sg = g * self.colscale
+        x = self.a @ self._gram_inverse(sg)
+        # the one refinement step, with A^H x formed as conj(A^T conj(x))
+        x += self.a @ self._gram_inverse(sg - np.conjugate(self.a.T @ np.conjugate(x)))
+        return (x * self.row_w).reshape(-1, 3)
 
     def measurement_matrix(self, points: np.ndarray) -> np.ndarray:
         """Basis field values at exterior points, (3 npts, ncols), read-only.
@@ -398,7 +426,10 @@ class ScatteredSolution:
     def solve_rhs(self, data_values: np.ndarray) -> np.ndarray:
         """Coefficient vectors for extra right-hand sides on the same system.
 
-        ``data_values`` has shape (npts, 3) or (npts, 3, k); the returned
+        ``data_values`` has shape (npts, 3) or (npts, 3, k) and holds each
+        sample point's components along its frame (e_r, e_th, e_ph), the
+        frame of :meth:`~elastoscat.wavefields.WaveBasis.directional_derivative`
+        (rotate Cartesian data with ``basis.to_frame`` first); the returned
         coefficients have shape (ncols,) or (ncols, k).
         """
         system = self.system
@@ -439,9 +470,10 @@ def _boundary_data(dirichlet_data, sample: BoundarySample) -> np.ndarray:
 
 
 def _fit(system: BoundarySystem, data: np.ndarray) -> ScatteredSolution:
-    """Back-substitute boundary data through a factored system and check the residual."""
+    """Back-substitute Cartesian boundary data, rotated here into the point
+    frames, through a factored system and check the residual."""
     sample = system.sample
-    y, bw = system._solve(data)
+    y, bw = system._solve(system.basis.to_frame(data))
 
     total_w = float(np.sum(sample.weights))
     resid_norm = float(np.linalg.norm(system.a @ y - bw))

@@ -50,7 +50,8 @@ class FrequencySchedule:
     Stage i represents the surface at harmonic order ``order(i)`` =
     max(1, floor(omega_i)), never below the first-order encoding of the
     initial sphere, and steps with ``tau(i)`` = tau_coefficient / order(i).
-    Frequencies must be positive, finite and strictly increasing.
+    Frequencies must be positive, finite and strictly increasing, the step
+    coefficient positive and finite, and the iteration count nonnegative.
     """
 
     omegas: tuple[float, ...]
@@ -64,6 +65,10 @@ class FrequencySchedule:
             raise ValueError("frequencies must be positive and finite")
         if any(b <= a for a, b in zip(self.omegas, self.omegas[1:])):
             raise ValueError("frequencies must be strictly increasing")
+        if not 0 < self.tau_coefficient < math.inf:  # a NaN fails too
+            raise ValueError(f"step coefficient must be positive and finite, got {self.tau_coefficient}")
+        if not self.iterations >= 0:
+            raise ValueError(f"iterations per stage must be nonnegative, got {self.iterations}")
 
     @property
     def stages(self) -> int:

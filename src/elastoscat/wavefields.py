@@ -27,15 +27,17 @@ phases of :func:`elastoscat.specfun.sph_harmonic_factors`, a fifth of the
 three complex tables' bytes at nmax = 14: assembly expands the tables at
 most two at a time and drops them, and only the derivative keeps its own.
 Directional derivatives are contracted with coefficients instead of formed
-as a matrix.  Each entry of the spherical-frame derivative of each family
-is a sum over the six angular tables of one radial factor times one
-component of the direction times that table, so one table at a time is
-contracted with the k coefficient columns within each degree, weighted and
-summed over the degrees: k columns hold one contracted table of k columns,
-and each column of the result is bitwise that of a one-column call.  The
-only third-order derivative needed is the radial derivative of the
-Hessian, which the symmetry of third derivatives reduces to
-(x . grad) Hess = r d/dr Hess.
+as a matrix, and are given in the point frames, where the boundary solve
+takes its data; only :meth:`WaveBasis.matrix` rotates to Cartesian
+components, which the measurement matrix needs.  Each entry of the
+spherical-frame derivative of each family is a sum over the six angular
+tables of one radial factor times one component of the direction times
+that table, so one table at a time is contracted with the k coefficient
+columns within each degree, weighted and summed over the degrees: k
+columns hold one contracted table of k columns, and each column of the
+result is bitwise that of a one-column call.  The only third-order
+derivative needed is the radial derivative of the Hessian, which the
+symmetry of third derivatives reduces to (x . grad) Hess = r d/dr Hess.
 """
 
 from __future__ import annotations
@@ -184,7 +186,8 @@ class WaveBasis:
 
     def to_frame(self, values: np.ndarray) -> np.ndarray:
         """(e_r, e_th, e_ph) components of Cartesian vectors at the points,
-        shape (npts, 3) or (npts, 3, k) like ``values``."""
+        shape (npts, 3) or (npts, 3, k) like ``values``: the frame of
+        :meth:`directional_derivative` and of the boundary solve's data."""
         values = np.asarray(values)
         return np.matmul(self.frame.transpose(1, 0, 2), values.reshape(self.npts, 3, -1)).reshape(values.shape)
 
@@ -246,8 +249,10 @@ class WaveBasis:
         """(d . grad) of the field with coefficient vector(s) ``coeffs``.
 
         ``directions`` has shape (npts, 3) or (1, 3) for one direction at
-        every point; ``coeffs`` has shape (ncols,) or (ncols, k).  Returns
-        Cartesian derivatives of shape (npts, 3) or (npts, 3, k); with
+        every point, in Cartesian components; ``coeffs`` has shape (ncols,)
+        or (ncols, k).  Returns the derivatives' components along each
+        point's frame (e_r, e_th, e_ph), shape (npts, 3) or (npts, 3, k),
+        as a view whose point axis is the contiguous one; with
         ``coeffs = np.eye(ncols)`` those of every basis field.  Temporaries
         are one contracted angular table of 3 (nmax+1) k npts entries and a
         scratch array of a third of that; column j of the result is bitwise
@@ -255,8 +260,7 @@ class WaveBasis:
         """
         directions = np.atleast_2d(np.asarray(directions, dtype=float))
         nu = np.sum(self.frame * directions, axis=2)  # spherical components, (3, npts)
-        sph = self._derivative_frame(nu, np.asarray(coeffs).reshape(self.ncols, -1))
-        out = np.einsum("cpi,cjp->pij", self.frame, sph)
+        out = self._derivative_frame(nu, np.asarray(coeffs).reshape(self.ncols, -1)).transpose(2, 0, 1)
         return out[:, :, 0] if np.ndim(coeffs) == 1 else out
 
     def _derivative_frame(self, nu: np.ndarray, c: np.ndarray) -> np.ndarray:

@@ -295,13 +295,20 @@ def basis_field(basis: WaveBasis, vec: np.ndarray) -> np.ndarray:
     return (basis.matrix() @ vec).reshape(basis.npts, 3)
 
 
+def frame_to_cartesian(basis: WaveBasis, values: np.ndarray) -> np.ndarray:
+    """Cartesian components of vectors given along the basis points' frames
+    (e_r, e_th, e_ph), shape (npts, 3) or (npts, 3, k) like ``values``: the
+    inverse of ``basis.to_frame``."""
+    return np.einsum("cpi,pc...->pi...", basis.frame, values)
+
+
 def basis_gradient(basis: WaveBasis, vec: np.ndarray) -> np.ndarray:
     """Cartesian Jacobians du_i/dx_l of the field at the basis points, shape (npts, 3, 3)."""
     cols = []
     eye = np.eye(3)
     for l in range(3):
         d = np.broadcast_to(eye[l], (basis.npts, 3))
-        cols.append(basis.directional_derivative(d, vec))
+        cols.append(frame_to_cartesian(basis, basis.directional_derivative(d, vec)))
     return np.stack(cols, axis=2)
 
 
@@ -439,9 +446,9 @@ def basis_matrix_per_mode(basis):
 
 
 def basis_deriv_along_per_mode(basis, directions):
-    """Directional derivatives (d . grad) of every basis field of ``basis``, one
-    (n, m) column at a time: ``basis.directional_derivative(d, I)`` as a
-    (3 npts, ncols) matrix."""
+    """Cartesian directional derivatives (d . grad) of every basis field of
+    ``basis``, one (n, m) column at a time: ``basis.directional_derivative(d, I)``
+    rotated out of the point frames, as a (3 npts, ncols) matrix."""
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
     if directions.shape == (1, 3) and basis.npts > 1:
         directions = np.broadcast_to(directions, (basis.npts, 3))

@@ -49,6 +49,17 @@ def test_schedule_rejects_non_finite_frequencies():
             inv.FrequencySchedule((1.0, bad))
 
 
+def test_schedule_rejects_a_step_rule_that_cannot_descend():
+    # a NaN coefficient used to fail only after the step retries were spent,
+    # a negative one ran an ascent and zero never moved
+    for bad in (np.nan, -0.005, 0.0, np.inf):
+        with pytest.raises(ValueError, match="step coefficient"):
+            inv.FrequencySchedule((1.0,), tau_coefficient=bad)
+    with pytest.raises(ValueError, match="iterations"):
+        inv.FrequencySchedule((1.0,), iterations=-1)
+    assert inv.FrequencySchedule((1.0,), iterations=0).iterations == 0
+
+
 def test_initial_guess_is_sphere():
     sp = inv.initial_guess(0.5, 3)
     quad_pts = geo.sample_boundary(sp, 12).points

@@ -13,6 +13,7 @@ from oracles import (
     basis_matrix_per_mode,
     fd_curl,
     fd_directional,
+    frame_to_cartesian,
     vector_from_potentials,
     vsh_expand,
 )
@@ -21,10 +22,13 @@ KP, KS, R = 1.0, 2.0, 1.0
 
 
 def derivative_matrix(wb, nu):
-    """``wb.directional_derivative(nu, I)`` as a (3 npts, ncols) matrix, computed
-    32 columns of I at a time to keep the temporaries small."""
+    """``wb.directional_derivative(nu, I)`` rotated out of the point frames into
+    Cartesian components, as a (3 npts, ncols) matrix, computed 32 columns of
+    I at a time to keep the temporaries small."""
     eye = np.eye(wb.ncols)
-    blocks = [wb.directional_derivative(nu, eye[:, j : j + 32]) for j in range(0, wb.ncols, 32)]
+    blocks = [
+        frame_to_cartesian(wb, wb.directional_derivative(nu, eye[:, j : j + 32])) for j in range(0, wb.ncols, 32)
+    ]
     return np.concatenate(blocks, axis=2).reshape(3 * wb.npts, wb.ncols)
 
 
