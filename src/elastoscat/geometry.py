@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import specfun
-from .specfun import flatten_index, harmonic_columns, sphere_quadrature
+from .specfun import SphereQuadrature, flatten_index, harmonic_columns
 
 
 class GeometryError(ValueError):
@@ -161,9 +161,36 @@ def _real_basis_tables(order: int, theta: np.ndarray, phi: np.ndarray):
     return y.real, y.imag, dy.real, dy.imag, dphi.real, dphi.imag
 
 
+@lru_cache(maxsize=64)
+def boundary_quadrature(order: int) -> SphereQuadrature:
+    """The reduced Gaussian grid on which every boundary system is sampled.
+
+    It keeps the order + 1 Gauss-Legendre rings in cos(th) of
+    :func:`~elastoscat.specfun.sphere_quadrature` and gives ring j
+    n_j = 2 min(order, ceil(order sin th_j)) + 2 equispaced points in ph,
+    each of weight w_j 2 pi / n_j, so the weights still sum to 4 pi.  Near
+    a pole P_n^m(cos th) is negligible for m beyond about n sin th, so the
+    tensor rule's 2 order + 2 points on every ring carry almost nothing
+    there (M. Hortal, A. J. Simmons, Mon. Weather Rev. 119 (1991)
+    1057-1074).  At order 18 the grid has 506 points against the tensor
+    rule's 722; at order n it still gives 3 npts > 3 (n+1)^2 - 2, more rows
+    than a boundary system of truncation n has columns.
+    """
+    x, w = np.polynomial.legendre.leggauss(order + 1)
+    theta_1d = np.arccos(x)
+    n_phi = 2 * np.minimum(order, np.ceil(order * np.sin(theta_1d))).astype(int) + 2
+    theta = np.repeat(theta_1d, n_phi)
+    phi = np.concatenate([2 * np.pi * np.arange(k) / k for k in n_phi])
+    weights = np.repeat(w * (2 * np.pi / n_phi), n_phi)
+    quad = SphereQuadrature(order, theta, phi, weights)
+    for arr in (quad.theta, quad.phi, quad.weights):
+        arr.setflags(write=False)
+    return quad
+
+
 @lru_cache(maxsize=32)
 def _grid_tables(order: int, quad_order: int):
-    quad = sphere_quadrature(quad_order)
+    quad = boundary_quadrature(quad_order)
     tables = _real_basis_tables(order, quad.theta, quad.phi)
     for t in tables:
         t.setflags(write=False)
@@ -209,13 +236,14 @@ class BoundarySample:
 
 
 def sample_boundary(sp: SurfaceParam, order: int) -> BoundarySample:
-    """Sample the surface on a quadrature grid adequate up to 2*order.
+    """Sample the surface on the reduced Gaussian grid
+    :func:`boundary_quadrature` of the given order.
 
     Raises :class:`GeometryError` when the sampled surface is degenerate or
     not star-shaped about the origin (radius positivity and outwardness of
     the parametric normal are both checked).
     """
-    quad = sphere_quadrature(order)
+    quad = boundary_quadrature(order)
     tables = _grid_tables(sp.order, order)
     pts, d_t, d_p = surface_points(sp, quad.theta, quad.phi, tables=tables)
     radius = np.linalg.norm(pts, axis=1)

@@ -253,11 +253,13 @@ def sph_harmonic_tables(nmax: int, theta, phi):
 
 @dataclass(frozen=True)
 class SphereQuadrature:
-    """Tensor quadrature on the unit sphere: Gauss-Legendre in cos(th),
-    uniform trapezoid in ph.
+    """Quadrature on the unit sphere: rings at the Gauss-Legendre nodes in
+    cos(th), each a uniform trapezoid in ph.
 
-    Exactly integrates products Y_n^m conj(Y_{n'}^{m'}) for n, n' <= order.
-    ``weights`` sum to 4 pi.
+    The tensor rule of :func:`sphere_quadrature` (2 order + 2 points on
+    every ring) exactly integrates products Y_n^m conj(Y_{n'}^{m'}) for
+    n, n' <= order; ``geometry.boundary_quadrature`` thins its rings toward
+    the poles.  ``weights`` sum to 4 pi.
     """
 
     order: int

@@ -246,6 +246,24 @@ def sphere_block_solve(a, med, radius, order, boundary_data_fn, quad_order=None)
     return pot
 
 
+def solve_on_tensor_grid(sp, w, med, radius, options):
+    """:func:`elastoscat.forward.solve_rigid_scattering` with the boundary
+    sampled on the tensor rule :func:`elastoscat.specfun.sphere_quadrature`
+    instead of the reduced grid of :func:`elastoscat.geometry.boundary_quadrature`.
+
+    The grid's basis tables are cached by order, so the cache is emptied
+    before and after the tensor-grid solve.
+    """
+    reduced = geo.boundary_quadrature
+    geo._grid_tables.cache_clear()
+    geo.boundary_quadrature = sf.sphere_quadrature
+    try:
+        return fw.solve_rigid_scattering(sp, w, med, radius, options)
+    finally:
+        geo.boundary_quadrature = reduced
+        geo._grid_tables.cache_clear()
+
+
 # ---------------------------------------------------------------------------
 # Index decoders: the inverses of the flat harmonic and coefficient indices
 # ---------------------------------------------------------------------------

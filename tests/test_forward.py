@@ -15,6 +15,7 @@ from oracles import (
     eval_scalar_potential,
     frame_to_cartesian,
     navier_residual_fd,
+    solve_on_tensor_grid,
     sphere_block_solve,
     vsh_expand,
     z_log_derivative,
@@ -116,6 +117,40 @@ def test_default_quadrature_order_is_n_trunc_plus_4(med_std):
     assert fw.SolverOptions(n_trunc=7, quad_order=9).resolve(med_std, R).quad_order == 9
 
 
+def test_solver_options_reject_invalid_values():
+    # a negative order used to die with an IndexError inside numpy, a
+    # fractional one with a TypeError, and a NaN or negative tolerance came
+    # back later as a ResidualError "exceeds tolerance nan"
+    for name in ("n_trunc", "quad_order"):
+        for bad in (-1, 2.5, "7", np.float64(7.0)):
+            with pytest.raises(ValueError, match=name):
+                fw.SolverOptions(**{name: bad})
+    for bad in (math.nan, -1.0, 0.0, -math.inf):
+        with pytest.raises(ValueError, match="residual tolerance"):
+            fw.SolverOptions(residual_tol=bad)
+    opts = fw.SolverOptions(n_trunc=np.int64(7), quad_order=np.int32(0))
+    assert (opts.n_trunc, opts.quad_order) == (7, 0)
+    assert type(opts.n_trunc) is int and type(opts.quad_order) is int
+
+
+@pytest.mark.parametrize("omega", [1.0, 3.0, 5.0])
+@pytest.mark.parametrize("n", [11, 14])
+def test_reduced_grid_fit_matches_tensor_grid(pwave, omega, n):
+    # the reduced boundary grid drops points only where the basis is
+    # negligible: the fitted field at the measurement points agrees with the
+    # fit on the tensor rule of the same order
+    med = modal.Medium(2.0, 1.0, omega)
+    ell = geo.ellipsoid_coeffs(0.6, 0.75, 0.9, 1)
+    opts = fw.SolverOptions(n_trunc=n, residual_tol=1.0)
+    ref = solve_on_tensor_grid(ell, pwave, med, R, opts)
+    sol = fw.solve_rigid_scattering(ell, pwave, med, R, opts)
+    assert sol.sample.npts < 0.75 * ref.sample.npts
+    pts = fw.fibonacci_sphere(100, R)
+    u, u_ref = sol.evaluate(pts), ref.evaluate(pts)
+    assert np.linalg.norm(u - u_ref) <= 1e-6 * np.linalg.norm(u_ref)
+    assert sol.system.condition == pytest.approx(ref.system.condition, rel=1e-2)
+
+
 def test_sphere_dense_matches_block_oracle(med_std, pwave):
     a = 0.75
     sp = geo.sphere_coeffs(a, 1)
@@ -214,7 +249,7 @@ def test_rank_deficient_system_raises(med_std, pwave, monkeypatch):
 def test_seminormal_solve_matches_lstsq(pwave):
     # CSNE on the Cholesky R of the Gram matrix, with one refinement step,
     # against a dense least-squares reference on a real boundary system
-    # (2166 x 673, kappa = sqrt(cols) ||R^-1||_F ~ 2.8e5, cond_2(A) ~ 2.5e4)
+    # (1518 x 673, kappa = sqrt(cols) ||R^-1||_F ~ 2.8e5, cond_2(A) ~ 2.5e4)
     # with the right-hand sides of the shape Jacobian; without the refinement
     # step the semi-normal solution is far less accurate.  Errors are
     # measured in the equilibrated unknowns c / colscale, the ones the
@@ -223,7 +258,7 @@ def test_seminormal_solve_matches_lstsq(pwave):
     ell = geo.ellipsoid_coeffs(0.6, 0.75, 0.9, 1)
     sol = fw.solve_rigid_scattering(ell, pwave, med, R, fw.SolverOptions(n_trunc=14, quad_order=18, residual_tol=1e-2))
     system = sol.system
-    assert system.a.shape == (2166, 673)
+    assert system.a.shape == (1518, 673)
     assert 1.75e5 < system.condition < 7e5
     assert system.condition == pytest.approx(math.sqrt(system.a.shape[1]) * np.linalg.norm(system.right), rel=1e-12)
     assert np.linalg.cond(system.a) <= system.condition
@@ -300,11 +335,11 @@ def test_blocked_cholesky_rejects_indefinite_matrix(rng):
 
 
 def test_solve_holds_one_square_matrix_besides_a(pwave):
-    # one solve of the 2166 x 673 system holds A, the basis's harmonic factors
+    # one solve of the 1518 x 673 system holds A, the basis's harmonic factors
     # and radial tables and the one n x n buffer of Gram matrix, Cholesky
     # factor and R^-1, with temporaries of at most half an n x n matrix
-    # besides (measured: 34.93 MiB, the peak inside _factor, against a bound
-    # of 35.63 MiB; with the complex angular tables kept on the basis, 40.72 MiB)
+    # besides (measured: 26.44 MiB, the peak inside _factor, against a bound
+    # of 28.07 MiB)
     med = modal.Medium(2.0, 1.0, 3.0)
     ell = geo.ellipsoid_coeffs(0.6, 0.75, 0.9, 1)
     opts = fw.SolverOptions(n_trunc=14, quad_order=18, residual_tol=1e-2)
@@ -320,12 +355,12 @@ def test_solve_holds_one_square_matrix_besides_a(pwave):
     system = sol.system
     b = system.basis
     n = b.ncols
-    assert system.a.shape == (2166, n)
+    assert system.a.shape == (1518, n)
     assert "ang" not in vars(b) and "ang2" not in vars(b)
     tables = sum(t.nbytes for t in (*b.harmonics, *b.rad_p, *b.rad_s, b.frame))
     assert peak <= system.a.nbytes + tables + 1.5 * n * n * 16
     # assembly holds at most two complex (npts, nmodes) angular tables besides
-    # its output (measured: 2.24 tables; forming all three at once gave 3.24)
+    # its output (measured: 2.28 tables; forming all three at once gave 3.24)
     tracemalloc.start()
     try:
         m = b.matrix(spherical=True)
@@ -336,7 +371,7 @@ def test_solve_holds_one_square_matrix_besides_a(pwave):
 
 
 def test_underdetermined_system_raises(med_std, pwave):
-    # quad_order 3 would sample 32 nodes: 96 rows for the 241 columns of n_trunc 8
+    # quad_order 3 would sample 28 nodes: 84 rows for the 241 columns of n_trunc 8
     ell = geo.ellipsoid_coeffs(0.6, 0.75, 0.9, 1)
     with pytest.raises(ValueError, match="below the truncation order"):
         fw.solve_rigid_scattering(ell, pwave, med_std, R, fw.SolverOptions(n_trunc=8, quad_order=3, residual_tol=1.0))
@@ -441,14 +476,14 @@ def _min_norm_reference(system, g):
 
 def test_adjoint_solve_matches_lstsq_on_cholesky_r(pwave, rng):
     # the minimum-norm counterpart of test_seminormal_solve_matches_lstsq, on
-    # the same 2166 x 673 system, with the right-hand side M^H r of the
+    # the same 1518 x 673 system, with the right-hand side M^H r of the
     # objective gradient; without the refinement step the error is far larger
-    # (measured: 4.9e-13 refined, 8.3e-10 unrefined)
+    # (measured: 5.8e-13 refined, 9.9e-10 unrefined)
     med = modal.Medium(2.0, 1.0, 3.0)
     ell = geo.ellipsoid_coeffs(0.6, 0.75, 0.9, 1)
     sol = fw.solve_rigid_scattering(ell, pwave, med, R, fw.SolverOptions(n_trunc=14, quad_order=18, residual_tol=1e-2))
     system = sol.system
-    assert system.a.shape == (2166, 673)
+    assert system.a.shape == (1518, 673)
     assert system.condition**2 * np.finfo(float).eps <= fw._CHOLESKY_LIMIT
     m = system.measurement_matrix(fw.fibonacci_sphere(100, R))
     r = rng.standard_normal(m.shape[0]) + 1j * rng.standard_normal(m.shape[0])

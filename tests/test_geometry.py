@@ -104,6 +104,33 @@ def test_surface_rejects_nonfinite_coefficients():
             geo.SurfaceParam.from_json_dict({"schema": 1, "N": 1, "C": c.tolist()})
 
 
+@pytest.mark.parametrize("q", [0, 1, 4, 18, 31, 40])
+def test_boundary_rule_thins_the_tensor_rings(q):
+    # the rings of the tensor rule, ring j with 2 min(q, ceil(q sin th_j)) + 2
+    # equispaced points of weight w_j 2 pi / n_j each
+    quad = geo.boundary_quadrature(q)
+    x, w = np.polynomial.legendre.leggauss(q + 1)
+    theta = np.arccos(x)
+    np.testing.assert_array_equal(np.unique(theta), np.unique(sf.sphere_quadrature(q).theta))
+    sizes = 2 * np.minimum(q, np.ceil(q * np.sin(theta))).astype(int) + 2
+    np.testing.assert_array_equal(np.repeat(theta, sizes), quad.theta)
+    start = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    for j, (k, s0) in enumerate(zip(sizes, start)):
+        np.testing.assert_allclose(quad.phi[s0 : s0 + k], 2 * np.pi * np.arange(k) / k, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(quad.weights[s0 : s0 + k], w[j] * 2 * np.pi / k, rtol=1e-15)
+    assert abs(float(np.sum(quad.weights)) - 4 * math.pi) <= 1e-13
+    assert quad.theta.shape == quad.phi.shape == quad.weights.shape == (sizes.sum(),)
+    if q == 18:
+        assert quad.theta.shape[0] == 506  # the tensor rule has 722
+
+
+def test_boundary_rule_has_more_rows_than_columns():
+    # SolverOptions.resolve rejects quad_order < n_trunc, which promises a
+    # boundary system of 3 npts rows more than its 3 (n+1)^2 - 2 columns
+    for n in range(41):
+        assert 3 * geo.boundary_quadrature(n).theta.shape[0] > 3 * (n + 1) ** 2 - 2
+
+
 def test_bean_like_surface_samples_on_32x64_grid():
     # smooth star-shaped surface with one concave dent (desk-scale stand-in
     # for a bean shape; a literal sqrt-based parametrization would not be
@@ -112,8 +139,8 @@ def test_bean_like_surface_samples_on_32x64_grid():
         return 0.7 + 0.14 * np.cos(np.pi * np.cos(theta)) * (0.5 + 0.5 * np.sin(theta) * np.sin(phi))
 
     sp = fit_radial_surface(rho, 6)
-    bs = geo.sample_boundary(sp, 31)  # (32 x 64) tensor grid
-    assert bs.npts == 32 * 64
+    bs = geo.sample_boundary(sp, 31)  # 32 rings, thinned from 64 points toward the poles
+    assert bs.npts == 1388
     assert np.all(np.isfinite(bs.points)) and np.all(bs.weights > 0)
     # the fitted surface reproduces the radial law away from truncation error
     quad = sf.sphere_quadrature(12)
