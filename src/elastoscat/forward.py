@@ -13,12 +13,11 @@ Dirichlet data is rotated instead), row-weighted and handed to
 ``_factor``.  That equilibrates its columns in place (Hankel growth across
 orders makes the raw columns badly scaled) and returns R^-1, with R the
 upper-triangular Cholesky factor of the Gram matrix A^H A, so no Q is
-formed.  Gram matrix, Cholesky factor (blocked by panels of ``_PANEL``
-columns, F. G. Gustavson, IBM J. Res. Dev. 41 (1997) 737-755) and R^-1
-occupy one n x n buffer in turn, each written over the one before, and no
-temporary exceeds a quarter of that buffer.  The basis keeps its angular
-part as real Legendre factors and azimuthal phases, not as complex tables
-of a third of A's bytes, so a solve holds A plus one n x n matrix.
+formed.  LAPACK's zherk, zpotrf and ztrtri write the Gram matrix, its
+Cholesky factor and R^-1 in turn into one n x n buffer, each over the one
+before, with no temporary.  The basis keeps its angular part as real
+Legendre factors and azimuthal phases, not as complex tables of a third of
+A's bytes, so a solve holds A plus one n x n matrix.
 Right-hand sides are solved by corrected semi-normal equations
 (CSNE: y = R^-1 R^-H A^H b) followed by exactly one refinement
 step with the residual b - A y, which brings the accuracy back to that of
@@ -31,15 +30,17 @@ on kappa^2 eps, or when the Cholesky fails, the buffer is dropped and R
 comes from a Householder QR that forms R only (such a system pays Gram,
 Cholesky and QR, about 1.5 times a QR alone).  The fit is meaningful only
 with full column rank, so a system whose kappa cannot rule out a singular
-value below a relative cutoff raises :class:`SolverError`.  The Cholesky
-factor and the triangular inverse are written here on numpy, which has
-no potrf, trtri or trsm: scipy.linalg has them, but importing it costs
-about 0.3 s and 26 MB of resident memory per process, more than the
-factorizations of a short run save.
+value below a relative cutoff raises :class:`SolverError`.  numpy's own
+API has no potrf, trtri or herk, but the OpenBLAS that ``numpy.linalg``
+already loads exports all three, so they are bound here with ctypes from
+that library, which maps no new one.  scipy.linalg has them too, but
+importing it costs about 0.3 s and 26 MB of resident memory per process,
+more than the factorizations of a short run save.
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import operator
@@ -47,6 +48,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .geometry import BoundarySample, GeometryError, SurfaceParam, sample_boundary
 from .modal import Medium, PotentialCoeffs, default_truncation
@@ -69,7 +71,39 @@ _RANK_CUTOFF = 1e-12  # smallest relative singular value of a full-rank system (
 # Largest kappa^2 eps for which one CSNE refinement step on the Cholesky R
 # still matches a QR solve (kappa up to about 6.7e6); see _factor.
 _CHOLESKY_LIMIT = 1e-2
-_PANEL = 128  # columns per Cholesky panel
+
+
+def _bind_lapack() -> tuple:
+    """``(zherk, zpotrf, ztrtri, integer type)`` from the BLAS library that
+    ``numpy.linalg`` has already loaded.
+
+    The names are tried as numpy >= 2 wheels (``scipy_zherk_64_``), numpy
+    1.x ILP64 wheels (``zherk_64_``) and LP64 builds (``zherk_``) export
+    them; the ``64_`` names take 64-bit integers.  Every argument is
+    passed by reference, and each character argument is followed by its
+    length, which gfortran-built LAPACK reads and OpenBLAS ignores.
+    """
+    lib = ctypes.CDLL(_umath_linalg.__file__)
+    tried = []
+    for template, int_t in (("scipy_{}_64_", ctypes.c_int64), ("{}_64_", ctypes.c_int64), ("{}_", ctypes.c_int32)):
+        names = [template.format(x) for x in ("zherk", "zpotrf", "ztrtri")]
+        tried += names
+        try:
+            herk, potrf, trtri = (getattr(lib, name) for name in names)
+        except AttributeError:
+            continue
+        char, ptr, length = ctypes.c_char_p, ctypes.c_void_p, ctypes.c_size_t
+        num, real = ctypes.POINTER(int_t), ctypes.POINTER(ctypes.c_double)
+        herk.argtypes = [char, char, num, num, real, ptr, num, real, ptr, num, length, length]
+        potrf.argtypes = [char, num, ptr, num, num, length]
+        trtri.argtypes = [char, char, num, ptr, num, num, length, length]
+        for routine in (herk, potrf, trtri):
+            routine.restype = None
+        return herk, potrf, trtri, int_t
+    raise ImportError(f"numpy's BLAS library exports none of: {', '.join(tried)}")
+
+
+_zherk, _zpotrf, _ztrtri, _LAPACK_INT = _bind_lapack()
 
 
 @dataclass(frozen=True)
@@ -275,82 +309,55 @@ class BoundarySystem:
         return _measurement_matrix(b.kappa_p, b.kappa_s, b.ref_radius, b.nmax, points.shape, points.tobytes())
 
 
-def _triu_inverse(r: np.ndarray) -> np.ndarray:
-    """Overwrite an upper-triangular matrix with its inverse and return it.
-
-    Recursive 2 x 2 blocking: inv([[R11, R12], [0, R22]]) is
-    [[X11, -X11 R12 X22], [0, X22]] with X11, X22 the inverses of the
-    diagonal blocks, so all but the smallest blocks are matrix products.
-    Raises :class:`numpy.linalg.LinAlgError` when R is exactly singular.
-    """
-    n = r.shape[0]
-    if n <= 64:
-        r[...] = np.triu(np.linalg.inv(r))
-        return r
-    k = n // 2
-    x11 = _triu_inverse(r[:k, :k])
-    x22 = _triu_inverse(r[k:, k:])
-    t = x11 @ r[:k, k:]
-    np.matmul(np.negative(t, out=t), x22, out=r[:k, k:])
-    return r
+def _data(x: np.ndarray, rows: int, cols: int) -> int:
+    """The address of ``x`` for LAPACK, once it is checked to be a
+    C-contiguous complex128 array of shape (rows, cols)."""
+    if x.dtype != np.complex128 or not x.flags.c_contiguous or x.shape != (rows, cols):
+        raise ValueError(f"LAPACK needs a C-contiguous complex128 {rows} x {cols} array")
+    return x.ctypes.data
 
 
 def _gram(a: np.ndarray) -> np.ndarray:
-    """A^H A of a complex matrix from real products of three column blocks.
+    """A^H A of a C-contiguous complex matrix ``a`` in the lower triangle of a
+    new C-order array whose strict upper triangle is zero.
 
-    With V = [Re A, Im A] interleaved column by column (``a.view(float)``),
-    H = V_i^T V_j of the columns of blocks i and j holds Re^T Re, Re^T Im,
-    Im^T Re and Im^T Im as its four strided blocks.  Only the blocks on and
-    below the diagonal are formed, by three syrk (numpy's product of a
-    matrix with its own transpose, at half the flops of a general one) and
-    three gemm; the blocks above it stay zero.  One H of at most
-    (2 ceil(n/3))^2 reals, about a quarter of G's bytes, exists at a time.
-    Two blocks would need half of G's bytes; blocks of 128 columns took
-    17-19 % longer than one product at n = 673 and 1450 (one BLAS thread),
-    three blocks 1-6 %.
+    One zherk (uplo U, trans N) on the Fortran view of ``a``, the matrix
+    A^T: it forms the upper triangle of A^T conj(A) = conj(A^H A) in Fortran
+    order, which is the lower triangle of A^H A in C order.
     """
-    n = a.shape[1]
-    w = -(-n // 3)
-    v = a.view(float)
+    m, n = a.shape
     g = np.zeros((n, n), dtype=complex)
-    for j in range(0, n, w):
-        vj = v[:, 2 * j : 2 * (j + w)]
-        for i in range(j, n, w):
-            h = v[:, 2 * i : 2 * (i + w)].T @ vj
-            block = g[i : i + w, j : j + w]
-            np.add(h[0::2, 0::2], h[1::2, 1::2], out=block.real)
-            np.subtract(h[0::2, 1::2], h[1::2, 0::2], out=block.imag)
-            del h  # before the next product is formed
+    one, zero, order = ctypes.c_double(1.0), ctypes.c_double(0.0), _LAPACK_INT(n)
+    _zherk(b"U", b"N", order, _LAPACK_INT(m), one, _data(a, m, n), order, zero, _data(g, n, n), order, 1, 1)
     return g
 
 
-def _cholesky(g: np.ndarray) -> np.ndarray:
-    """Overwrite a Hermitian positive-definite ``g`` with its lower Cholesky
-    factor L (G = L L^H, strict upper triangle zero) and return it; only the
-    lower triangle of ``g`` is read.
+def _potrf(g: np.ndarray) -> int:
+    """Overwrite the lower triangle of a Hermitian ``g`` (C order, only that
+    triangle read) with its Cholesky factor L, G = L L^H, and return
+    LAPACK's info: 0, or k > 0 when the leading minor of order k is not
+    positive definite, with ``g`` then partly overwritten.
 
-    Right-looking, a panel of ``_PANEL`` columns at a time:
-    ``np.linalg.cholesky`` factors the diagonal block L11, the panel below
-    is L21 = G21 L11^-H = G21 R11^-1 with R11^-1 from :func:`_triu_inverse`
-    of R11 = L11^H (one small inverse and one product: numpy has no
-    triangular solve, and ``np.linalg.solve`` would pay an LU on top), and
-    the trailing lower triangle takes -L21 L21^H one column block at a
-    time.  Raises :class:`numpy.linalg.LinAlgError` when G is not
-    numerically positive definite, with ``g`` then partly overwritten.
+    zpotrf (uplo U) on the Fortran view conj(G) finds conj(G) = U^H U, so
+    G = U^T conj(U) and L = U^T, which is where U lies in C order.
     """
-    n = g.shape[0]
-    for j in range(0, n, _PANEL):
-        k = j + _PANEL
-        low = np.linalg.cholesky(g[j:k, j:k])
-        g[j:k, j:k] = low
-        g[j:k, k:] = 0.0
-        if k >= n:
-            break
-        panel = g[k:, j:k]
-        panel[...] = panel @ _triu_inverse(np.conjugate(low.T))  # L21 = G21 L11^-H
-        for i in range(k, n, _PANEL):
-            g[i:, i : i + _PANEL] -= panel[i - k :] @ np.conjugate(panel[i - k : i - k + _PANEL]).T
-    return g
+    n = len(g)
+    info = _LAPACK_INT()
+    _zpotrf(b"U", _LAPACK_INT(n), _data(g, n, n), _LAPACK_INT(n), info, 1)
+    return info.value
+
+
+def _trtri(t: np.ndarray, lower: bool) -> int:
+    """Overwrite a lower or upper triangular ``t`` (C order, non-unit
+    diagonal; its other strict triangle is neither read nor written) with
+    its inverse and return LAPACK's info: 0, or k > 0 when ``t[k-1, k-1]``
+    is exactly zero.  ztrtri inverts the Fortran view T^T, whose inverse
+    is (T^-1)^T, so the triangle is named the other way round.
+    """
+    n = len(t)
+    info = _LAPACK_INT()
+    _ztrtri(b"U" if lower else b"L", b"N", _LAPACK_INT(n), _data(t, n, n), _LAPACK_INT(n), info, 1, 1)
+    return info.value
 
 
 def _factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -360,17 +367,20 @@ def _factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     The Gram matrix A^H A of ``a`` fills one n x n buffer.  Its diagonal
     gives the column norms, whose inverses are ``colscale`` (0 for a zero
     column), and ``a`` and the Gram matrix are scaled to unit-norm columns.
-    R is the upper-triangular Cholesky factor of the Gram matrix, and R^-1
-    is written over the buffer.  With unit-norm columns ||R||_F = sqrt(cols),
-    so kappa = sqrt(cols) ||R^-1||_F is the Frobenius condition number of R
-    and bounds cond_2(A) from above.  One CSNE refinement step recovers the
-    accuracy of a QR solve only while cond_2(A)^2 eps is small, so when the
-    Cholesky fails or ``kappa**2 * eps`` exceeds ``_CHOLESKY_LIMIT``, the
-    buffer is dropped and R is taken from a Householder QR of ``a`` that
-    forms R only.  Since s_max <= sqrt(cols) and s_min >= 1 / ||R^-1||_F,
-    the system has no singular value below ``_RANK_CUTOFF`` times the
-    largest when ``kappa * _RANK_CUTOFF < 1``.  Otherwise, or when R is
-    exactly singular, :class:`SolverError` is raised.
+    zpotrf writes the lower Cholesky factor L over the buffer, G = L L^H,
+    and ztrtri writes L^-1 over L; R = L^H, so R^-1 = conj(L^-1)^T is the
+    buffer conjugated in place and seen transposed.  With unit-norm columns
+    ||R||_F = sqrt(cols), so kappa = sqrt(cols) ||R^-1||_F is the Frobenius
+    condition number of R and bounds cond_2(A) from above.  One CSNE
+    refinement step recovers the accuracy of a QR solve only while
+    cond_2(A)^2 eps is small, so when the Cholesky fails (zpotrf does not
+    stop at a NaN pivot, but kappa is then NaN) or ``kappa**2 * eps``
+    exceeds ``_CHOLESKY_LIMIT``, the buffer is dropped and R is taken from
+    a Householder QR of ``a`` that forms R only, inverted in place by
+    ztrtri.  Since s_max <= sqrt(cols) and s_min >= 1 / ||R^-1||_F, the
+    system has no singular value below ``_RANK_CUTOFF`` times the largest
+    when ``kappa * _RANK_CUTOFF < 1``.  Otherwise, or when R is exactly
+    singular, :class:`SolverError` is raised.
     """
     cols = a.shape[1]
     gram = _gram(a)
@@ -379,18 +389,16 @@ def _factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     a *= colscale
     gram *= colscale[:, None]
     gram *= colscale
-    try:
-        r_inv = _triu_inverse(np.conjugate(_cholesky(gram), out=gram).T)
+    condition = math.nan  # unless the Cholesky succeeds: the QR below decides
+    if _potrf(gram) == 0 and _trtri(gram, lower=True) == 0:
+        r_inv = np.conjugate(gram, out=gram).T
         condition = math.sqrt(cols) * np.linalg.norm(r_inv)
-    except np.linalg.LinAlgError:
-        condition = math.nan  # not numerically positive definite: the QR below decides
     del gram  # r_inv now holds the buffer's only reference
     if not condition * condition * np.finfo(float).eps <= _CHOLESKY_LIMIT:  # a NaN falls back too
         r_inv = None  # drop the buffer before the QR copies a
-        try:
-            r_inv = _triu_inverse(np.linalg.qr(a, mode="r"))
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"boundary system of {cols} columns is rank-deficient: R is singular") from exc
+        r_inv = np.linalg.qr(a, mode="r")
+        if _trtri(r_inv, lower=False) != 0:
+            raise SolverError(f"boundary system of {cols} columns is rank-deficient: R is singular")
         condition = math.sqrt(cols) * np.linalg.norm(r_inv)
     if not condition * _RANK_CUTOFF < 1:  # a NaN fails too
         raise SolverError(

@@ -1,7 +1,11 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import click
 import numpy as np
@@ -301,45 +305,126 @@ def test_frame_solve_matches_cartesian_lstsq(med_std, pwave):
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130, 298])
 def test_triangular_inverse(rng, n):
     r = np.linalg.qr(rng.standard_normal((2 * n, n)) + 1j * rng.standard_normal((2 * n, n)), mode="r")
-    r_copy = r.copy()
-    x = fw._triu_inverse(r_copy)
-    assert np.shares_memory(x, r_copy)  # written over its input
-    assert np.all(np.tril(x, -1) == 0)
-    ref = np.linalg.inv(r)
-    assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
+    for lower, t in ((False, r.copy()), (True, np.ascontiguousarray(r.conj().T))):
+        ref = np.linalg.inv(t)
+        assert fw._trtri(t, lower) == 0  # written over its input
+        assert np.all((np.triu(t, 1) if lower else np.tril(t, -1)) == 0)
+        assert np.linalg.norm(t - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 300])
 def test_blocked_gram_and_cholesky(rng, n):
-    # Cholesky panels of 128 columns: one panel, exactly one, one plus a
-    # single column, and three uneven panels
     a = rng.standard_normal((2 * n + 3, n)) + 1j * rng.standard_normal((2 * n + 3, n))
     ref_gram = a.conj().T @ a
     gram = fw._gram(a)
+    assert np.all(np.triu(gram, 1) == 0)
     assert np.linalg.norm(np.tril(gram - ref_gram)) <= 1e-13 * np.linalg.norm(ref_gram)
     ref = np.linalg.cholesky(ref_gram)
-    low = fw._cholesky(gram)
-    assert np.shares_memory(low, gram)  # written over its input
-    assert np.all(np.triu(low, 1) == 0)  # R = L^H: its strict lower triangle is exactly zero
-    assert np.linalg.norm(low - ref) <= 1e-13 * np.linalg.norm(ref)
+    assert fw._potrf(gram) == 0  # written over its input
+    assert np.all(np.triu(gram, 1) == 0)  # R = L^H: its strict lower triangle is exactly zero
+    assert np.linalg.norm(gram - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
-def test_blocked_cholesky_rejects_indefinite_matrix(rng):
-    # the trailing block turns indefinite only after two panels' updates
+def test_blocked_cholesky_rejects_indefinite_matrix(rng, monkeypatch):
     n = 300
     x = rng.standard_normal((n + 5, n)) + 1j * rng.standard_normal((n + 5, n))
     g = x.conj().T @ x
     g[-1, -1] = -1.0
-    with pytest.raises(np.linalg.LinAlgError):
-        fw._cholesky(g)
+    assert fw._potrf(g) == n  # the first leading minor that is not positive definite
+    # a Gram matrix that turns indefinite the same way inside _factor sends it
+    # to the Householder R
+    potrf = fw._potrf
+
+    def indefinite_potrf(gram):
+        gram[-1, -1] = -1.0
+        return potrf(gram)
+
+    monkeypatch.setattr(fw, "_potrf", indefinite_potrf)
+    right, _, condition = fw._factor(x)
+    ref = np.linalg.inv(np.linalg.qr(x, mode="r"))  # x is equilibrated now, as _factor saw it
+    assert np.linalg.norm(right - ref) <= 1e-13 * np.linalg.norm(ref)
+    assert condition == pytest.approx(math.sqrt(n) * np.linalg.norm(ref), rel=1e-12)
+
+
+def test_lapack_integer_width():
+    # the leading 2 x 2 block is positive definite and the whole matrix is
+    # not, so info is 3; read through an integer of the wrong width, or with
+    # the order passed wrongly, it would not be
+    g = np.array([[4.0, 1.0j, 0.0], [-1.0j, 3.0, 2.0], [0.0, 2.0, 1.0]], dtype=complex)
+    assert np.linalg.eigvalsh(g[:2, :2]).min() > 0 > np.linalg.eigvalsh(g).min()
+    assert fw._potrf(g) == 3
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_system_raises(rng, bad):
+    # zpotrf does not stop at a NaN pivot: a system with one non-finite entry
+    # must still end in the typed failure, not in a NaN solution
+    a = rng.standard_normal((40, 6)) + 1j * rng.standard_normal((40, 6))
+    a[7, 3] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(fw.SolverError, match="rank-deficient"):
+        fw._factor(a)
+
+
+def test_lapack_binding_names_the_symbols_it_tried(monkeypatch):
+    class NoSymbols:
+        pass
+
+    monkeypatch.setattr(fw.ctypes, "CDLL", lambda path: NoSymbols())
+    with pytest.raises(ImportError, match=r"scipy_zherk_64_.*zpotrf_64_.*ztrtri_$"):
+        fw._bind_lapack()
+
+
+def test_lapack_binding_maps_no_new_library():
+    # the factorization routines come from the BLAS library that numpy has
+    # already mapped.  Once numpy and every module outside elastoscat that
+    # the CLI imports are loaded, importing the CLI and factoring one system
+    # may map ctypes' own extension and libffi at most, no BLAS or LAPACK
+    # library, and scipy stays unimported
+    if not Path("/proc/self/maps").exists():
+        pytest.skip("needs /proc/self/maps (Linux)")
+    env = dict(os.environ, PYTHONPATH=str(Path(fw.__file__).resolve().parents[1]))
+    listing = "import json, sys, elastoscat.cli; print(json.dumps(list(sys.modules)))"
+    res = subprocess.run([sys.executable, "-c", listing], env=env, capture_output=True, text=True, check=True)
+    deps = [m for m in json.loads(res.stdout) if m != "__main__" and m.split(".")[0] != "elastoscat"]
+    code = """if True:
+        import importlib, json, sys, numpy as np
+
+        def mapped():
+            with open("/proc/self/maps") as f:
+                return {line.split()[-1] for line in f if ".so" in line.split()[-1]}
+
+        for name in json.loads(sys.argv[1]):
+            try:
+                importlib.import_module(name)
+            except ImportError:
+                pass
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((40, 6)) + 1j * rng.standard_normal((40, 6))
+        before = mapped()
+        import elastoscat.cli
+        from elastoscat import forward
+        forward._factor(a)
+        scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        print(json.dumps({"new": sorted(mapped() - before), "scipy": scipy}))
+    """
+    res = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(deps)], env=env, capture_output=True, text=True, check=True
+    )
+    out = json.loads(res.stdout)
+    assert out["scipy"] == []
+    for lib in out["new"]:
+        name = Path(lib).name
+        assert "blas" not in name.lower() and "lapack" not in name.lower(), lib
+        assert name.startswith(("_ctypes", "libffi")), lib
 
 
 def test_solve_holds_one_square_matrix_besides_a(pwave):
     # one solve of the 1518 x 673 system holds A, the basis's harmonic factors
     # and radial tables and the one n x n buffer of Gram matrix, Cholesky
-    # factor and R^-1, with temporaries of at most half an n x n matrix
-    # besides (measured: 26.44 MiB, the peak inside _factor, against a bound
-    # of 28.07 MiB)
+    # factor and R^-1, which LAPACK overwrites in place, with temporaries of
+    # at most a tenth of an n x n matrix besides (measured: 24.84 MiB, that
+    # is 1.03 n x n matrices besides A and the tables, against a bound of
+    # 25.31 MiB)
     med = modal.Medium(2.0, 1.0, 3.0)
     ell = geo.ellipsoid_coeffs(0.6, 0.75, 0.9, 1)
     opts = fw.SolverOptions(n_trunc=14, quad_order=18, residual_tol=1e-2)
@@ -358,7 +443,7 @@ def test_solve_holds_one_square_matrix_besides_a(pwave):
     assert system.a.shape == (1518, n)
     assert "ang" not in vars(b) and "ang2" not in vars(b)
     tables = sum(t.nbytes for t in (*b.harmonics, *b.rad_p, *b.rad_s, b.frame))
-    assert peak <= system.a.nbytes + tables + 1.5 * n * n * 16
+    assert peak <= system.a.nbytes + tables + 1.1 * n * n * 16
     # assembly holds at most two complex (npts, nmodes) angular tables besides
     # its output (measured: 2.28 tables; forming all three at once gave 3.24)
     tracemalloc.start()
@@ -436,8 +521,8 @@ def _spread_columns(rng):
 def test_ill_conditioned_system_falls_back_to_householder_r():
     # kappa^2 eps (2.2e-2) exceeds the Cholesky limit, and one refinement step
     # on the Cholesky R no longer recovers a QR solve, so _factor must keep
-    # the Householder R.  Measured: error 4.0e-11, the Cholesky R's 505 times
-    # that (over seeds 0-29 at most 6e-11, and at least 211 times); at a
+    # the Householder R.  Measured: error 2.9e-11, the Cholesky R's 142 times
+    # that (over seeds 0-29 at most 6e-11, and at least 58 times); at a
     # spread of 10^8 the QR solve and lstsq already differ by about 7e-10
     rng = np.random.default_rng(5)
     a = _spread_columns(rng)
@@ -447,14 +532,14 @@ def test_ill_conditioned_system_falls_back_to_householder_r():
     assert condition**2 * np.finfo(float).eps > fw._CHOLESKY_LIMIT
     ref = np.linalg.lstsq(a, b, rcond=None)[0]
     err = np.linalg.norm(_csne(a, right, b) - ref) / np.linalg.norm(ref)
-    err_cholesky = np.linalg.norm(_csne(a, fw._triu_inverse(cholesky_r), b) - ref) / np.linalg.norm(ref)
+    err_cholesky = np.linalg.norm(_csne(a, np.linalg.inv(cholesky_r), b) - ref) / np.linalg.norm(ref)
     assert err <= 1e-10
     assert err_cholesky >= 100 * err
 
 
 def test_fallback_releases_cholesky_buffer():
     # the fallback drops the n x n Cholesky buffer before np.linalg.qr copies
-    # a: measured 4.87 n^2 complex entries in all, of which the copy of a is
+    # a: measured 4.86 n^2 complex entries in all, of which the copy of a is
     # 3.75 n^2; with the buffer kept alive through the QR it peaked at 5.86 n^2
     a = _spread_columns(np.random.default_rng(5))
     n = a.shape[1]
@@ -478,7 +563,7 @@ def test_adjoint_solve_matches_lstsq_on_cholesky_r(pwave, rng):
     # the minimum-norm counterpart of test_seminormal_solve_matches_lstsq, on
     # the same 1518 x 673 system, with the right-hand side M^H r of the
     # objective gradient; without the refinement step the error is far larger
-    # (measured: 5.8e-13 refined, 9.9e-10 unrefined)
+    # (measured: 5.9e-13 refined, 5.8e-10 unrefined)
     med = modal.Medium(2.0, 1.0, 3.0)
     ell = geo.ellipsoid_coeffs(0.6, 0.75, 0.9, 1)
     sol = fw.solve_rigid_scattering(ell, pwave, med, R, fw.SolverOptions(n_trunc=14, quad_order=18, residual_tol=1e-2))
@@ -499,7 +584,7 @@ def test_adjoint_solve_matches_lstsq_on_cholesky_r(pwave, rng):
 def test_adjoint_solve_matches_lstsq_on_householder_r(rng):
     # on the ill-conditioned columns that take the Householder R; the solve is
     # then at the accuracy of the lstsq reference itself (measured 1.1e-10,
-    # cond_2 3.0e6; the unrefined solve is only 4.3 times further off),
+    # cond_2 3.0e6; the unrefined solve is only 1.5 times further off),
     # so only the accuracy is asserted.  The rows are weighted unevenly to
     # check that W is applied
     a = _spread_columns(np.random.default_rng(5))
