@@ -234,8 +234,8 @@ class BoundarySystem:
     ``right``, ``colscale`` or ``row_w``.  Besides ``a`` and ``right``, the
     system holds only ``basis``'s harmonic factors, radial tables and point
     frames (2.1 MiB against A's 15.6 MiB at n_trunc 14 and 506 points); the
-    basis builds its complex angular tables only for a directional
-    derivative.  ``condition`` is kappa =
+    basis keeps no complex angular table after a directional derivative
+    either.  ``condition`` is kappa =
     sqrt(cols) ||R^-1||_F, the Frobenius condition number of R and an upper
     bound on cond_2(A); ``_factor`` computes all of these but ``row_w``.
     Nothing here depends on the Dirichlet data, so one system serves the
@@ -597,6 +597,8 @@ class MeasurementSet:
             raise ValueError(
                 f"measurement values of shape {self.u.shape} do not match points of shape {self.points.shape}"
             )
+        if not 0 <= self.delta < math.inf:  # a NaN fails too
+            raise ValueError(f"noise level delta must be nonnegative and finite, got {self.delta}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -639,9 +641,8 @@ class MeasurementSet:
 
 def add_noise(ms: MeasurementSet, delta: float, seed: int) -> MeasurementSet:
     """Multiplicative uniform noise: each complex component scaled by (1 + delta * rand),
-    rand ~ U[-1, 1], deterministic under the seed."""
-    if delta < 0:
-        raise ValueError("noise level must be nonnegative")
+    rand ~ U[-1, 1], deterministic under the seed; a negative or non-finite
+    ``delta`` raises :class:`ValueError` like :class:`MeasurementSet`."""
     rng = np.random.default_rng(seed)
     factors = 1.0 + delta * rng.uniform(-1.0, 1.0, size=ms.u.shape)
     return MeasurementSet(

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -70,6 +71,12 @@ class SurfaceParam:
     """Truncated spherical-harmonic coefficient vector of a surface."""
 
     def __init__(self, order: int, coeffs: np.ndarray):
+        try:
+            order = operator.index(order)
+        except TypeError:
+            raise GeometryError(f"surface order must be an integer, got {order!r}") from None
+        if order < 0:
+            raise GeometryError(f"surface order must be nonnegative, got {order}")
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape != (coeff_length(order),):
             raise GeometryError(
@@ -77,7 +84,7 @@ class SurfaceParam:
             )
         if not np.all(np.isfinite(coeffs)):
             raise GeometryError("surface coefficients must be finite")
-        self.order = int(order)
+        self.order = order
         self.coeffs = coeffs
 
     def block(self, j: int, imag: bool) -> np.ndarray:
@@ -105,7 +112,7 @@ class SurfaceParam:
     def from_json_dict(cls, d: dict) -> "SurfaceParam":
         if d.get("schema") != 1:
             raise GeometryError(f"unsupported surface schema: {d.get('schema')!r}")
-        return cls(int(d["N"]), np.asarray(d["C"], dtype=float))
+        return cls(d["N"], np.asarray(d["C"], dtype=float))
 
     def save(self, path) -> None:
         with open(path, "w") as f:

@@ -169,7 +169,7 @@ def descent_stage(
     schedule: FrequencySchedule,
     stage: int,
     datasets: list[MeasurementSet],
-    options: SolverOptions | list[SolverOptions],
+    options: list[SolverOptions],
     sweep_directions: bool = True,
     backtracking: bool = False,
     max_step_retries: int = 6,
@@ -185,10 +185,9 @@ def descent_stage(
     :class:`StageError` with the partial state.
 
     ``options`` is the stage's ladder of solver options, coarsest first
-    (:func:`stage_ladder`); a single :class:`SolverOptions` is a one-rung
-    ladder.  The descent starts on the lowest rung.  An evaluation that
-    fails only because a boundary residual exceeds its rung's tolerance
-    (:class:`~elastoscat.forward.ResidualError`) below the top rung climbs
+    (:func:`stage_ladder`).  The descent starts on the lowest rung.  An
+    evaluation that fails only because a boundary residual exceeds its rung's
+    tolerance (:class:`~elastoscat.forward.ResidualError`) below the top rung climbs
     one rung and re-evaluates the same point: a climb halves no step, uses
     no retry, adds no history row, and holds for the rest of the stage,
     across its sweeps.  Every history row records its rung's ``n_trunc``.
@@ -200,7 +199,7 @@ def descent_stage(
     """
     if not datasets:
         raise ValueError("stage needs at least one measurement set")
-    ladder = [options] if isinstance(options, SolverOptions) else list(options)
+    ladder = list(options)
     rung = 0  # index into ladder; never decreases within the stage
     k = schedule.order(stage)
     state.surface = state.surface.resized(k)

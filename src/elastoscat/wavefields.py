@@ -24,8 +24,7 @@ the Hankel equation leave each entry one radial factor of its degree
 Cartesian values are that frame matrix rotated point by point.  A basis
 keeps the angular part only as the real Legendre factors and azimuthal
 phases of :func:`elastoscat.specfun.sph_harmonic_factors`, a fifth of the
-three complex tables' bytes at nmax = 14: assembly expands the tables at
-most two at a time and drops them, and only the derivative keeps its own.
+three complex tables' bytes at nmax = 14; each use expands its tables from them.
 Directional derivatives are contracted with coefficients instead of formed
 as a matrix, and are given in the point frames, where the boundary solve
 takes its data; only :meth:`WaveBasis.matrix` rotates to Cartesian
@@ -41,8 +40,6 @@ symmetry of third derivatives reduces to (x . grad) Hess = r d/dr Hess.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 import numpy as np
 
@@ -99,11 +96,10 @@ class WaveBasis:
     potential coefficients phi, then the (nmax+1)^2 - 1 coefficients psi_2
     (modes n >= 1), then psi_3 likewise.
 
-    A basis holds the harmonic factors ``harmonics``, the radial tables
-    ``rad_p`` and ``rad_s`` and the point frames ``frame``.  The complex
-    angular tables ``ang`` and ``ang2`` are built on the first
-    :meth:`directional_derivative`, so a basis that only gives field values
-    never holds them.
+    A basis holds only what its constructor computes: the harmonic factors
+    ``harmonics``, the radial tables ``rad_p`` and ``rad_s`` and the point
+    frames ``frame``.  :meth:`matrix` and :meth:`directional_derivative`
+    expand the complex angular tables they need and drop them.
     """
 
     def __init__(self, kappa_p: float, kappa_s: float, ref_radius: float, nmax: int, points: np.ndarray):
@@ -123,50 +119,6 @@ class WaveBasis:
         self.harmonics = specfun.sph_harmonic_factors(nmax, theta, phi)
         self.rad_p = _radial_tables(nmax, kappa_p, r, ref_radius)
         self.rad_s = _radial_tables(nmax, kappa_s, r, ref_radius)
-
-    @cached_property
-    def ang(self) -> tuple:
-        """First-order angular factors ``(ya, yt, yps)`` of X = Y/R (see
-        :func:`_angular_tables` and :func:`_theta_table`), shape
-        (npts, (nmax+1)^2) each, built on first use: only
-        :meth:`directional_derivative` reads them, and :meth:`matrix` expands
-        its own from ``harmonics`` and drops them."""
-        ya, yps = _angular_tables(self.harmonics, self.ref_radius)
-        return ya, _theta_table(self.harmonics, self.ref_radius), yps
-
-    @cached_property
-    def ang2(self) -> tuple:
-        """Second-order angular factors of X = Y/R, shape (npts, (nmax+1)^2)
-        each, built from ``ang`` on first use (only
-        :meth:`directional_derivative` reads them):
-          ytt  = d^2(Y/R)/dth^2
-          atp  = (1/sin th) (d_th d_ph - cot th d_ph)(Y/R)
-          app  = (1/sin^2 th) d^2_ph (Y/R) + cot th * d_th (Y/R)
-        """
-        ya, yt = self.ang[:2]
-        sinth = np.sin(self.theta)[:, None]
-        costh = np.cos(self.theta)[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cot = np.where(sinth != 0, costh / sinth, 0.0)
-        inv_sin = self.harmonics.inv_sin
-        n, m = specfun.harmonic_columns(self.nmax)
-        mvals = m.astype(float)  # float: -(m**2) is then -0.0 at m = 0, a sign bit the outputs carry
-        nn1 = n * (n + 1.0)
-        # the products and sums of ytt = -cot yt + (m^2/sin^2 - n(n+1)) ya,
-        # atp = (-i m / sin) (yt - cot ya) and app = -(m^2/sin^2) ya + cot yt,
-        # operands in that order, with each output the scratch of the next
-        w = mvals**2 * inv_sin**2
-        ytt = np.multiply(-cot, yt)
-        app = np.multiply(w - nn1, ya)
-        ytt += app
-        atp = np.multiply(cot, ya)
-        np.subtract(yt, atp, out=atp)
-        np.multiply(-1j * mvals, inv_sin, out=app)
-        np.multiply(app, atp, out=atp)
-        np.negative(w, out=w)  # -(m^2) / sin^2: a product's sign is exact
-        np.multiply(w, ya, out=app)
-        app += cot * yt
-        return ytt, atp, app
 
     @property
     def nmodes(self) -> int:
@@ -245,6 +197,48 @@ class WaveBasis:
         np.multiply(e_n[:, 1], yt[:, 1:], out=e_n[:, 1])
         return out
 
+    def _derivative_tables(self):
+        """The angular tables of :meth:`_derivative_frame`, expanded from
+        ``harmonics`` one at a time: ya, yt, yps (:func:`_angular_tables`), then
+        from ya and yt, once yps is dropped,
+          ytt  = d^2(Y/R)/dth^2
+          atp  = (1/sin th) (d_th d_ph - cot th d_ph)(Y/R)
+          app  = (1/sin^2 th) d^2_ph (Y/R) + cot th * d_th (Y/R)
+        """
+        ya, yps = _angular_tables(self.harmonics, self.ref_radius)
+        yield ya
+        yt = _theta_table(self.harmonics, self.ref_radius)
+        yield yt
+        yield yps
+        del yps
+        sinth, costh = np.sin(self.theta)[:, None], np.cos(self.theta)[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cot = np.where(sinth != 0, costh / sinth, 0.0)
+        inv_sin = self.harmonics.inv_sin
+        n, m = specfun.harmonic_columns(self.nmax)
+        mvals = m.astype(float)  # float: -(m**2) is then -0.0 at m = 0, a sign bit the outputs carry
+        nn1 = n * (n + 1.0)
+        # the products and sums of ytt = -cot yt + (m^2/sin^2 - n(n+1)) ya,
+        # atp = (-i m / sin) (yt - cot ya) and app = -(m^2/sin^2) ya + cot yt,
+        # operands in that order, with each output the scratch of the next
+        w = mvals**2 * inv_sin**2
+        ytt = np.multiply(-cot, yt)
+        app = np.multiply(w - nn1, ya)
+        ytt += app
+        yield ytt
+        del ytt
+        atp = np.multiply(cot, ya)
+        np.subtract(yt, atp, out=atp)
+        np.multiply(-1j * mvals, inv_sin, out=app)
+        np.multiply(app, atp, out=atp)
+        yield atp
+        del atp
+        np.negative(w, out=w)  # -(m^2) / sin^2: a product's sign is exact
+        np.multiply(w, ya, out=app)
+        app += cot * yt
+        del ya, yt
+        yield app
+
     def directional_derivative(self, directions: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
         """(d . grad) of the field with coefficient vector(s) ``coeffs``.
 
@@ -254,19 +248,21 @@ class WaveBasis:
         point's frame (e_r, e_th, e_ph), shape (npts, 3) or (npts, 3, k),
         as a view whose point axis is the contiguous one; with
         ``coeffs = np.eye(ncols)`` those of every basis field.  Temporaries
-        are one contracted angular table of 3 (nmax+1) k npts entries and a
-        scratch array of a third of that; column j of the result is bitwise
-        that of a call on column j alone.
+        are at most four (npts, (nmax+1)^2) angular tables, one contracted
+        table of 3 (nmax+1) k npts entries and a scratch array of a third of
+        that; column j of the result is bitwise that of a call on it alone.
         """
         directions = np.atleast_2d(np.asarray(directions, dtype=float))
         nu = np.sum(self.frame * directions, axis=2)  # spherical components, (3, npts)
-        out = self._derivative_frame(nu, np.asarray(coeffs).reshape(self.ncols, -1)).transpose(2, 0, 1)
+        c = np.asarray(coeffs).reshape(self.ncols, -1)
+        out = self._derivative_frame(nu, c, self._derivative_tables()).transpose(2, 0, 1)
         return out[:, :, 0] if np.ndim(coeffs) == 1 else out
 
-    def _derivative_frame(self, nu: np.ndarray, c: np.ndarray) -> np.ndarray:
+    def _derivative_frame(self, nu: np.ndarray, c: np.ndarray, tables) -> np.ndarray:
         """Spherical-frame components, shape (3, k, npts), of the derivatives
         along ``nu`` (spherical components, (3, npts)) of the fields with
-        coefficient columns ``c``.
+        coefficient columns ``c``, contracted from the six angular ``tables``
+        of :meth:`_derivative_tables`, in that order.
 
         With H the spherical-frame Hessian of a scalar mode s, the
         derivatives are H nu for E_P, (H nu) x x + grad s x nu for E_M and
@@ -309,10 +305,13 @@ class WaveBasis:
         out = np.zeros((3, k, self.npts), dtype=complex)
         tab = np.empty((3, k, deg, self.npts), dtype=complex)
         scratch = np.empty((k, deg, self.npts), dtype=complex)
-        for t, table_terms in zip(self.ang + self.ang2, terms):
+        tables = iter(tables)
+        for table_terms in terms:
+            t = next(tables)
             for d in range(deg):
                 cols = slice(d * d, (d + 1) ** 2)
                 np.matmul(fam[:, cols], t[:, cols].T, out=tab[:, :, d].reshape(3 * k, self.npts))
+            del t  # a generator's table is then freed before it forms the next
             for f, comp, rad, v in table_terms:
                 w = rad * nus[v]
                 for j in range(k):  # one column at a time: numpy buffers a broadcast operand

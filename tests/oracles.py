@@ -381,7 +381,7 @@ def eval_scalar_potential(p, med, radius: float, points: np.ndarray):
 
 def _mode_pack(basis, n, col, shear):
     f0, f1, f2, f3 = basis.rad_s if shear else basis.rad_p
-    ya, yt, yps, ytt, atp, app = basis.ang + basis.ang2
+    ya, yt, yps, ytt, atp, app = basis._derivative_tables()
     r = basis.r
     f0n, f1n, f2n, f3n = f0[n], f1[n], f2[n], f3[n]
     a_y, a_t, a_p = ya[:, col], yt[:, col], yps[:, col]
@@ -402,7 +402,7 @@ def _mode_pack(basis, n, col, shear):
 def _mode_rhess(basis, n, col):
     """r d/dr of the spherical Hessian components (shear wavenumber)."""
     f0, f1, f2, f3 = basis.rad_s
-    ya, yt, yps, ytt, atp, app = basis.ang + basis.ang2
+    ya, yt, yps, ytt, atp, app = basis._derivative_tables()
     r = basis.r
     f0n, f1n, f2n, f3n = f0[n], f1[n], f2[n], f3[n]
     c_rt = f2n - 2 * f1n / r + 2 * f0n / r**2

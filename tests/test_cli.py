@@ -119,6 +119,11 @@ def test_directions_reject_zero_vectors(tmp_path):
         ("--data", ["invert", "--data", "NAN_R"]),
         ("--data", ["invert", "--data", "NAN_LAMBDA"]),
         ("--surface", ["synth", "--surface", "ellipsoid:-0.6,0.75,0.9"]),
+        ("--data", ["invert", "--data", "NEGATIVE_DELTA"]),
+        ("--data", ["invert", "--data", "NAN_DELTA"]),
+        ("--data", ["invert", "--data", "INFINITE_DELTA"]),
+        ("--surface", ["synth", "--surface", "NEGATIVE_ORDER_SURFACE"]),
+        ("--surface", ["synth", "--surface", "FRACTIONAL_ORDER_SURFACE"]),
     ],
 )
 def test_bad_inputs_are_usage_errors(runner, tmp_path, measurement_file, args):
@@ -126,6 +131,10 @@ def test_bad_inputs_are_usage_errors(runner, tmp_path, measurement_file, args):
     nan_surface = tmp_path / "nan_surface.json"
     c = geo.sphere_coeffs(0.6, 1).coeffs.tolist()
     nan_surface.write_text(json.dumps({"schema": 1, "N": 1, "C": [math.nan] + c[1:]}))
+    negative_order_surface = tmp_path / "negative_order_surface.json"
+    negative_order_surface.write_text(json.dumps({"schema": 1, "N": -2, "C": c[:6]}))
+    fractional_order_surface = tmp_path / "fractional_order_surface.json"
+    fractional_order_surface.write_text(json.dumps({"schema": 1, "N": 1.5, "C": c}))
     not_json = tmp_path / "not_json.json"
     not_json.write_text("not json\n")
     not_measurements = tmp_path / "not_measurements.json"
@@ -136,6 +145,8 @@ def test_bad_inputs_are_usage_errors(runner, tmp_path, measurement_file, args):
     directory.mkdir()
     files = {
         "NAN_SURFACE": nan_surface,
+        "NEGATIVE_ORDER_SURFACE": negative_order_surface,
+        "FRACTIONAL_ORDER_SURFACE": fractional_order_surface,
         "DATA": measurement_file,
         "NOT_JSON": not_json,
         "NOT_MEASUREMENTS": not_measurements,
@@ -147,6 +158,9 @@ def test_bad_inputs_are_usage_errors(runner, tmp_path, measurement_file, args):
         "NAN_OMEGA": {**record, "omega": math.nan},
         "NAN_R": {**record, "R": math.nan},
         "NAN_LAMBDA": {**record, "medium": {**record["medium"], "lambda": math.nan}},
+        "NEGATIVE_DELTA": {**record, "delta": -0.05},
+        "NAN_DELTA": {**record, "delta": math.nan},
+        "INFINITE_DELTA": {**record, "delta": math.inf},
     }
     for name, rec in nan_records.items():
         files[name] = tmp_path / f"{name.lower()}.json"

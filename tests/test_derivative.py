@@ -328,9 +328,9 @@ def test_interleaved_bundle_takes_one_derivative_per_system(monkeypatch):
     columns = []
     real = WaveBasis._derivative_frame
 
-    def counted(self, nu, c):
+    def counted(self, nu, c, tables):
         columns.append(c.shape[1])
-        return real(self, nu, c)
+        return real(self, nu, c, tables)
 
     monkeypatch.setattr(WaveBasis, "_derivative_frame", counted)
     singles = [dv.objective_and_gradient(sp, [ds], opts) for ds in bundle]

@@ -441,11 +441,12 @@ def test_solve_holds_one_square_matrix_besides_a(pwave):
     b = system.basis
     n = b.ncols
     assert system.a.shape == (1518, n)
-    assert "ang" not in vars(b) and "ang2" not in vars(b)
     tables = sum(t.nbytes for t in (*b.harmonics, *b.rad_p, *b.rad_s, b.frame))
     assert peak <= system.a.nbytes + tables + 1.1 * n * n * 16
     # assembly holds at most two complex (npts, nmodes) angular tables besides
-    # its output (measured: 2.28 tables; forming all three at once gave 3.24)
+    # its output (measured: 2.28 tables; forming all three at once gave 3.24),
+    # and the basis keeps none of them
+    held = {name: id(value) for name, value in vars(b).items()}
     tracemalloc.start()
     try:
         m = b.matrix(spherical=True)
@@ -453,6 +454,7 @@ def test_solve_holds_one_square_matrix_besides_a(pwave):
     finally:
         tracemalloc.stop()
     assert peak <= m.nbytes + 2.5 * b.npts * b.nmodes * 16
+    assert {name: id(value) for name, value in vars(b).items()} == held
 
 
 def test_underdetermined_system_raises(med_std, pwave):
@@ -803,6 +805,17 @@ def test_measurement_shape_validation(tmp_path, med_std, pwave):
     d["u"] = d["u"][:7]
     with pytest.raises(ValueError):
         fw.MeasurementSet.from_json_dict(d)
+
+
+def test_measurement_delta_validation(med_std, pwave):
+    # stage_ladder reads delta as the data's noise level: a negative or NaN
+    # one would pass for clean data, an infinite one add rungs
+    pts = fw.fibonacci_sphere(10, R)
+    d = fw.MeasurementSet(R, med_std, pwave, pts, np.ones((10, 3), dtype=complex), delta=0.05).to_json_dict()
+    for bad in (-0.05, math.nan, math.inf):
+        with pytest.raises(ValueError, match="delta"):
+            fw.MeasurementSet.from_json_dict({**d, "delta": bad})
+    assert fw.MeasurementSet.from_json_dict({**d, "delta": 0.0}).delta == 0.0
 
 
 # ---------------------------------------------------------------------------

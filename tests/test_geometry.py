@@ -160,6 +160,17 @@ def test_surface_json_roundtrip(tmp_path, rng):
         geo.SurfaceParam.from_json_dict({"schema": 2, "N": 1, "C": [0.0] * 24})
 
 
+def test_surface_order_must_be_a_nonnegative_integer(tmp_path):
+    # coeff_length(-2) is 6 and int(1.5) is 1: neither order may load
+    c = geo.sphere_coeffs(0.5, 1).coeffs.tolist()
+    for order, coeffs in ((-2, c[:6]), (1.5, c)):
+        path = tmp_path / "surface.json"
+        path.write_text(json.dumps({"schema": 1, "N": order, "C": coeffs}))
+        with pytest.raises(geo.GeometryError, match="order"):
+            geo.SurfaceParam.load(path)
+    assert geo.SurfaceParam(np.int64(1), c).order == 1
+
+
 def test_resized_preserves_surface(rng):
     sp = geo.ellipsoid_coeffs(0.6, 0.75, 0.9, 1)
     big = sp.resized(4)

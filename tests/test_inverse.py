@@ -97,7 +97,7 @@ def test_zero_gradient_fixed_point(sphere_dataset):
     ms = fw.solve_rigid_scattering(truth, PW, modal.Medium(2.0, 1.0, 1.0), R, opts).measure(PW, fw.fibonacci_sphere(60, R))
     sched = inv.FrequencySchedule((1.0,), iterations=3)
     state = inv.InversionState(surface=truth.copy())
-    state = inv.descent_stage(state, sched, 0, [ms], options=opts)
+    state = inv.descent_stage(state, sched, 0, [ms], options=[opts])
     np.testing.assert_array_equal(state.surface.coeffs, truth.coeffs)
     assert all(h["objective"] == 0.0 for h in state.history)
 
@@ -106,7 +106,7 @@ def test_objective_decreases_first_iterations(sphere_dataset):
     sched = inv.FrequencySchedule((1.0,), iterations=10)
     state = inv.InversionState(surface=inv.initial_guess(0.5, 1))
     state = inv.descent_stage(
-        state, sched, 0, [sphere_dataset], options=inv.stage_solver_options(sphere_dataset.med, R, 1, state.surface)
+        state, sched, 0, [sphere_dataset], options=[inv.stage_solver_options(sphere_dataset.med, R, 1, state.surface)]
     )
     fs = [h["objective"] for h in state.history]
     assert len(fs) == 11
@@ -130,7 +130,7 @@ def test_single_frequency_run_equals_plain_descent(sphere_dataset):
     state_a = inv.continuation_run([sphere_dataset], sched)
     state_b = inv.InversionState(surface=inv.initial_guess(0.5, 1))
     opts = inv.stage_solver_options(sphere_dataset.med, R, 1, state_b.surface)
-    state_b = inv.descent_stage(state_b, sched, 0, [sphere_dataset], options=opts)
+    state_b = inv.descent_stage(state_b, sched, 0, [sphere_dataset], options=[opts])
     np.testing.assert_array_equal(state_a.surface.coeffs, state_b.surface.coeffs)
 
 
@@ -146,7 +146,7 @@ def test_stage_failure_keeps_partial_history(sphere_dataset):
     impossible = fw.SolverOptions(n_trunc=4, quad_order=8, residual_tol=1e-14)
     state = inv.InversionState(surface=inv.initial_guess(0.5, 1))
     with pytest.raises(inv.StageError) as err:
-        inv.descent_stage(state, sched, 0, [sphere_dataset], options=impossible)
+        inv.descent_stage(state, sched, 0, [sphere_dataset], options=[impossible])
     assert isinstance(err.value.state, inv.InversionState)
 
 
@@ -183,7 +183,7 @@ def test_backtracking_rejects_increases(sphere_dataset):
         sched,
         0,
         [sphere_dataset],
-        options=inv.stage_solver_options(sphere_dataset.med, R, 1, state.surface),
+        options=[inv.stage_solver_options(sphere_dataset.med, R, 1, state.surface)],
         backtracking=True,
         max_step_retries=14,
     )

@@ -64,14 +64,20 @@ def test_directional_derivative_matches_fd(points, rng):
     assert np.abs(fd - analytic).max() < 1e-7 * scale
 
 
+def held(wb):
+    """The objects a basis holds, by attribute name."""
+    return {name: id(value) for name, value in vars(wb).items()}
+
+
 def test_second_order_tables_built_only_for_derivatives(points):
-    # the field values need first derivatives of Y only; ytt, atp and app are
-    # built on the first directional derivative
+    # a basis holds only what its constructor computes: values and
+    # derivatives expand the angular tables they need and drop them
     wb = WaveBasis(KP, KS, R, 4, points)
+    before = held(wb)
     wb.matrix()
-    assert "ang" not in vars(wb) and "ang2" not in vars(wb)
+    assert held(wb) == before
     wb.directional_derivative(points, np.ones(wb.ncols))
-    assert len(vars(wb)["ang2"]) == 3
+    assert held(wb) == before
 
 
 def assert_bitwise(new, ref):
@@ -82,22 +88,41 @@ def assert_bitwise(new, ref):
 @pytest.mark.parametrize("nmax", [3, 6, 14])
 def test_lazy_tables_leave_every_output_bitwise(nmax, rng):
     # the basis keeps only the harmonic factors; the complex tables expanded
-    # from them are bitwise those of sph_harmonic_tables, so the outputs do not
-    # depend on whether or when the first-order tables were built
+    # from them are bitwise those of sph_harmonic_tables, and a second round
+    # of values and derivatives is bitwise the first
     sample = geo.sample_boundary(geo.ellipsoid_coeffs(0.6, 0.75, 0.9, 1), nmax + 4)
     radius = 1.3  # a reference radius that changes the last bits of the tables
     _, theta, phi = sf.cart_to_sph(sample.points)
-    eager, lazy = (WaveBasis(KP, KS, radius, nmax, sample.points) for _ in range(2))
-    for new, ref in zip(eager.ang, sf.sph_harmonic_tables(nmax, theta, phi)):
+    wb = WaveBasis(KP, KS, radius, nmax, sample.points)
+    for new, ref in zip(wb._derivative_tables(), sf.sph_harmonic_tables(nmax, theta, phi)):
         assert_bitwise(new, ref / radius)
-    coeffs = rng.standard_normal((eager.ncols, 2)) + 1j * rng.standard_normal((eager.ncols, 2))
-    assert "ang" not in vars(lazy)
+    coeffs = rng.standard_normal((wb.ncols, 2)) + 1j * rng.standard_normal((wb.ncols, 2))
+    before = held(wb)
     outputs = [
-        (wb.matrix(), wb.matrix(spherical=True), wb.directional_derivative(sample.normals, coeffs))
-        for wb in (lazy, eager)
+        (wb.matrix(), wb.matrix(spherical=True), wb.directional_derivative(sample.normals, coeffs)) for _ in range(2)
     ]
+    assert held(wb) == before
     for new, ref in zip(*outputs):
         assert_bitwise(new, ref)
+
+
+def test_derivative_leaves_no_tables_behind(rng):
+    # the six angular tables of a derivative at nmax 14 on 506 points are
+    # 10.4 MiB; none of them outlives the call
+    sample = geo.sample_boundary(geo.ellipsoid_coeffs(0.6, 0.75, 0.9, 1), 18)
+    coeffs = rng.standard_normal(3 * 15**2 - 2) + 1j * rng.standard_normal(3 * 15**2 - 2)
+    # a first basis fills the module caches a derivative at this order reads
+    WaveBasis(KP, KS, R, 14, sample.points).directional_derivative(sample.normals, coeffs)
+    wb = WaveBasis(KP, KS, R, 14, sample.points)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        wb.directional_derivative(sample.normals, coeffs)
+        held_bytes = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert wb.npts == 506
+    assert held_bytes <= 4096, held_bytes
 
 
 def _points_with_poles(rng, npts):
@@ -126,16 +151,17 @@ def test_batched_derivative_holds_one_contracted_table(rng):
     # the degrees before the next: the peak is that (3, nmax+1, k, npts) table,
     # one (nmax+1, k, npts) scratch array, the (3, k, npts) output and a fixed
     # count of (nmax+1, npts) weights, not six contracted tables (2262 KiB
-    # here; measured 419 KiB against the bound's 436 KiB)
+    # here; measured 417 KiB against the bound's 436 KiB)
     nmax, k, npts = 4, 6, 128
     wb = WaveBasis(KP, KS, R, nmax, _points_with_poles(rng, npts))
     nu = rng.normal(size=(npts, 3))
     coeffs = rng.standard_normal((wb.ncols, k)) + 1j * rng.standard_normal((wb.ncols, k))
-    wb.directional_derivative(nu, coeffs)  # builds the angular tables the basis keeps
+    nu_frame = np.sum(wb.frame * nu, axis=2)
+    tables = list(wb._derivative_tables())  # expanded before the window: the contraction alone is measured
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        wb.directional_derivative(nu, coeffs)
+        wb._derivative_frame(nu_frame, coeffs, tables)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
