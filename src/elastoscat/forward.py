@@ -13,9 +13,13 @@ Dirichlet data is rotated instead), row-weighted and handed to
 ``_factor``.  That equilibrates its columns in place (Hankel growth across
 orders makes the raw columns badly scaled) and returns R^-1, with R the
 upper-triangular Cholesky factor of the Gram matrix A^H A, so no Q is
-formed.  LAPACK's zherk, zpotrf and ztrtri write the Gram matrix, its
-Cholesky factor and R^-1 in turn into one n x n buffer, each over the one
-before, with no temporary.  The basis keeps its angular part as real
+formed.  BLAS and LAPACK write the Gram matrix (zherk and zgemm, as two
+column panels of equal work), its Cholesky factor (zpotrf) and R^-1
+(ztrtri) in turn into one n x n buffer, each over the one before, with no
+temporary.  The two Gram panels run at once when a second core would
+otherwise idle (:func:`_pair`, which ``cli.synth`` also uses for its
+frequencies); the partition depends on the shape alone, so the bits do
+not depend on whether they do.  The basis keeps its angular part as real
 Legendre factors and azimuthal phases, not as complex tables of a third of
 A's bytes, so a solve holds A plus one n x n matrix.
 Right-hand sides are solved by corrected semi-normal equations
@@ -31,11 +35,12 @@ comes from a Householder QR that forms R only (such a system pays Gram,
 Cholesky and QR, about 1.5 times a QR alone).  The fit is meaningful only
 with full column rank, so a system whose kappa cannot rule out a singular
 value below a relative cutoff raises :class:`SolverError`.  numpy's own
-API has no potrf, trtri or herk, but the OpenBLAS that ``numpy.linalg``
-already loads exports all three, so they are bound here with ctypes from
-that library, which maps no new one.  scipy.linalg has them too, but
-importing it costs about 0.3 s and 26 MB of resident memory per process,
-more than the factorizations of a short run save.
+API has no herk, potrf or trtri, nor a gemm into part of a given array,
+but the OpenBLAS that ``numpy.linalg`` already loads exports all four, so
+they are bound here with ctypes from that library, which maps no new one.
+scipy.linalg has them too, but importing it costs about 0.3 s and 26 MB
+of resident memory per process, more than the factorizations of a short
+run save.
 """
 
 from __future__ import annotations
@@ -44,6 +49,8 @@ import ctypes
 import json
 import math
 import operator
+import os
+import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -74,36 +81,118 @@ _CHOLESKY_LIMIT = 1e-2
 
 
 def _bind_lapack() -> tuple:
-    """``(zherk, zpotrf, ztrtri, integer type)`` from the BLAS library that
-    ``numpy.linalg`` has already loaded.
+    """``(zherk, zgemm, zpotrf, ztrtri, openblas_get_num_threads, integer
+    type)`` from the BLAS library that ``numpy.linalg`` has already loaded.
 
     The names are tried as numpy >= 2 wheels (``scipy_zherk_64_``), numpy
     1.x ILP64 wheels (``zherk_64_``) and LP64 builds (``zherk_``) export
     them; the ``64_`` names take 64-bit integers.  Every argument is
     passed by reference, and each character argument is followed by its
-    length, which gfortran-built LAPACK reads and OpenBLAS ignores.
+    length, which gfortran-built LAPACK reads and OpenBLAS ignores.  The
+    thread count is bound under the same name template, and is None when
+    the library does not export it.
     """
     lib = ctypes.CDLL(_umath_linalg.__file__)
     tried = []
     for template, int_t in (("scipy_{}_64_", ctypes.c_int64), ("{}_64_", ctypes.c_int64), ("{}_", ctypes.c_int32)):
-        names = [template.format(x) for x in ("zherk", "zpotrf", "ztrtri")]
+        names = [template.format(x) for x in ("zherk", "zgemm", "zpotrf", "ztrtri")]
         tried += names
         try:
-            herk, potrf, trtri = (getattr(lib, name) for name in names)
+            herk, gemm, potrf, trtri = (getattr(lib, name) for name in names)
         except AttributeError:
             continue
         char, ptr, length = ctypes.c_char_p, ctypes.c_void_p, ctypes.c_size_t
-        num, real = ctypes.POINTER(int_t), ctypes.POINTER(ctypes.c_double)
+        num, real, cplx = ctypes.POINTER(int_t), ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_double * 2)
         herk.argtypes = [char, char, num, num, real, ptr, num, real, ptr, num, length, length]
+        gemm.argtypes = [char, char, num, num, num, cplx, ptr, num, ptr, num, cplx, ptr, num, length, length]
         potrf.argtypes = [char, num, ptr, num, num, length]
         trtri.argtypes = [char, char, num, ptr, num, num, length, length]
-        for routine in (herk, potrf, trtri):
+        for routine in (herk, gemm, potrf, trtri):
             routine.restype = None
-        return herk, potrf, trtri, int_t
+        threads = getattr(lib, template.format("openblas_get_num_threads"), None)
+        if threads is not None:
+            threads.argtypes, threads.restype = [], ctypes.c_int
+        return herk, gemm, potrf, trtri, threads, int_t
     raise ImportError(f"numpy's BLAS library exports none of: {', '.join(tried)}")
 
 
-_zherk, _zpotrf, _ztrtri, _LAPACK_INT = _bind_lapack()
+_zherk, _zgemm, _zpotrf, _ztrtri, _blas_threads, _LAPACK_INT = _bind_lapack()
+
+# Below this many multiply-adds (m n^2 of an m x n Gram matrix), starting a
+# thread costs more than the second panel saves.  Measured on 2 vCPUs with
+# one BLAS thread, with A freshly written by the caller and a pause before
+# each call, as in a solve: against both panels in turn, two threads took
+# 1.51 times as long at 300 x 100 (3.0e6), 1.18-1.20 times at 456 x 106
+# and 450 x 145 (5.1e6, 9.5e6), 0.96 times at 534 x 145 (1.1e7), 0.86
+# times at 600 x 200 and 700 x 200 (2.4e7, 2.8e7) and 0.68 times at
+# 852 x 298 (7.6e7).
+_PAIR_FLOOR = 2e7
+_PAIR_LOCK = threading.Lock()  # held while both calls of a pair run, each on its own thread
+
+
+def _use_worker(work: float) -> bool:
+    """Whether :func:`_pair` may put ``work`` multiply-adds' worth of its
+    first piece on a second thread: only on an idle second core.  That is,
+    at or above ``_PAIR_FLOOR``, with at least two CPUs in the process's
+    affinity mask, and with numpy's OpenBLAS on one thread (with more, its
+    own threads use the cores, and splitting on top of them was slower)."""
+    return (
+        work >= _PAIR_FLOOR
+        and _blas_threads is not None
+        and _blas_threads() == 1
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) > 1
+    )
+
+
+def _pair(first, second, work: float = math.inf) -> tuple:
+    """``(first(), second())`` of two independent calls, the first on a new
+    thread while the second runs on the caller.
+
+    Both run on the caller, one after the other, unless
+    :func:`_use_worker` allows ``work`` (multiply-adds; the default counts
+    as large) a thread, and also while both calls of another pair are
+    running on two threads, so that a pair nested inside one runs inline
+    and takes no third core.  Once one of them ends, a pair nested in the
+    other may take the core it left.  The thread is started per call and
+    joined before this returns, so no thread outlives a call (nor crosses
+    an ``os.fork``).
+    An error of either call is raised once both have finished, the
+    first's before the second's, as when they run in turn.  The callers
+    split their work so that neither piece depends on where the other
+    runs.  The name is private so that perfbench's tracer, which wraps
+    the public functions of this module, does not time a Gram matrix as a
+    span of its own.
+    """
+    if not (_use_worker(work) and _PAIR_LOCK.acquire(blocking=False)):
+        return first(), second()
+    results, errors = [None, None], [None, None]
+    released = threading.Lock()
+
+    def release() -> None:
+        """Release the pair's lock once, when the first of its calls ends."""
+        if released.acquire(blocking=False):
+            _PAIR_LOCK.release()
+
+    def run(i, fn):
+        try:
+            results[i] = fn()
+        except BaseException as exc:  # raised below, once both calls have finished
+            errors[i] = exc
+        finally:
+            release()
+
+    try:
+        worker = threading.Thread(target=run, args=(0, first), name="elastoscat-pair")
+        worker.start()
+        run(1, second)
+        worker.join()
+    finally:
+        release()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results[0], results[1]
 
 
 @dataclass(frozen=True)
@@ -111,7 +200,8 @@ class IncidentWave:
     """Plane compressional or shear wave.
 
     kind "p": u_inc = d exp(i kp x.d); kind "s": u_inc = pol exp(i ks x.d)
-    with pol a unit vector orthogonal to d.
+    with pol a unit vector orthogonal to d.  A direction or polarization
+    that is not a unit 3-vector raises :class:`ValueError`.
     """
 
     kind: str
@@ -122,15 +212,15 @@ class IncidentWave:
         if self.kind not in ("p", "s"):
             raise ValueError(f"incident wave kind must be 'p' or 's', got {self.kind!r}")
         d = np.asarray(self.direction, dtype=float)
-        if not abs(np.linalg.norm(d) - 1.0) <= 1e-10:  # NaN fails as well
-            raise ValueError("incident direction must be a unit vector")
+        if d.shape != (3,) or not abs(np.linalg.norm(d) - 1.0) <= 1e-10:  # NaN and inf fail as well
+            raise ValueError(f"incident direction must be a unit 3-vector, got {self.direction!r}")
         object.__setattr__(self, "direction", tuple(float(x) for x in d))
         if self.kind == "s":
             if self.polarization is None:
                 raise ValueError("shear wave requires a polarization vector")
             p = np.asarray(self.polarization, dtype=float)
-            if not (abs(np.linalg.norm(p) - 1.0) <= 1e-10 and abs(np.dot(p, d)) <= 1e-10):
-                raise ValueError("shear polarization must be unit and orthogonal to the direction")
+            if p.shape != (3,) or not (abs(np.linalg.norm(p) - 1.0) <= 1e-10 and abs(np.dot(p, d)) <= 1e-10):
+                raise ValueError("shear polarization must be a unit 3-vector orthogonal to the direction")
             object.__setattr__(self, "polarization", tuple(float(x) for x in p))
         elif self.polarization is not None:
             raise ValueError("compressional waves carry no independent polarization")
@@ -321,14 +411,35 @@ def _gram(a: np.ndarray) -> np.ndarray:
     """A^H A of a C-contiguous complex matrix ``a`` in the lower triangle of a
     new C-order array whose strict upper triangle is zero.
 
-    One zherk (uplo U, trans N) on the Fortran view of ``a``, the matrix
-    A^T: it forms the upper triangle of A^T conj(A) = conj(A^H A) in Fortran
-    order, which is the lower triangle of A^H A in C order.
+    BLAS works on the Fortran view of ``a``, the matrix X = A^T, and forms
+    the upper triangle of X X^H = conj(A^H A) in Fortran order, which is
+    the lower triangle of A^H A in C order.  With h = n // 2 and
+    q = h + (n - h) // 2, it does so as two panels of equal work that write
+    disjoint parts of the one n x n array: zherk (uplo U, trans N) on rows
+    [0, h) of X, then zgemm for the block of rows [0, h) and columns
+    [h, q); and zherk on rows [h, n), then zgemm for rows [0, h) and
+    columns [q, n).  :func:`_pair` runs the two at once when a second core
+    is idle.  The partition depends on the shape alone, so the result is
+    the same bits whether they run at once or in turn.
     """
     m, n = a.shape
+    h = n // 2
+    q = h + (n - h) // 2
     g = np.zeros((n, n), dtype=complex)
-    one, zero, order = ctypes.c_double(1.0), ctypes.c_double(0.0), _LAPACK_INT(n)
-    _zherk(b"U", b"N", order, _LAPACK_INT(m), one, _data(a, m, n), order, zero, _data(g, n, n), order, 1, 1)
+    x, c, size = _data(a, m, n), _data(g, n, n), g.itemsize
+    ld, depth = _LAPACK_INT(n), _LAPACK_INT(m)
+    one, zero = ctypes.c_double(1.0), ctypes.c_double(0.0)
+    one_c, zero_c = (ctypes.c_double * 2)(1.0, 0.0), (ctypes.c_double * 2)(0.0, 0.0)
+
+    def panel(lo: int, hi: int, start: int, stop: int) -> None:
+        """The upper triangle of block [lo, hi) x [lo, hi) of X X^H, then its
+        block [0, h) x [start, stop).  X[r, k] lies r + k n elements into
+        ``a``, and entry (r, s) r + s n elements into ``g``."""
+        _zherk(b"U", b"N", _LAPACK_INT(hi - lo), depth, one, x + size * lo, ld, zero, c + size * lo * (n + 1), ld, 1, 1)
+        cols, block = _LAPACK_INT(stop - start), c + size * start * n
+        _zgemm(b"N", b"C", _LAPACK_INT(h), cols, depth, one_c, x, ld, x + size * start, ld, zero_c, block, ld, 1, 1)
+
+    _pair(lambda: panel(0, h, h, q), lambda: panel(h, n, q, n), float(m) * n * n)
     return g
 
 
@@ -364,7 +475,9 @@ def _factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """``(R^-1, colscale, kappa)`` of a row-weighted boundary matrix ``a``
     with at least as many rows as columns, which is equilibrated in place.
 
-    The Gram matrix A^H A of ``a`` fills one n x n buffer.  Its diagonal
+    The Gram matrix A^H A of ``a`` fills one n x n buffer, formed by
+    :func:`_gram` as two panels, at once on two threads where a second
+    core is idle, with the same bits either way.  Its diagonal
     gives the column norms, whose inverses are ``colscale`` (0 for a zero
     column), and ``a`` and the Gram matrix are scaled to unit-norm columns.
     zpotrf writes the lower Cholesky factor L over the buffer, G = L L^H,

@@ -379,9 +379,9 @@ def eval_scalar_potential(p, med, radius: float, points: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def _mode_pack(basis, n, col, shear):
+def _mode_pack(basis, tables, n, col, shear):
     f0, f1, f2, f3 = basis.rad_s if shear else basis.rad_p
-    ya, yt, yps, ytt, atp, app = basis._derivative_tables()
+    ya, yt, yps, ytt, atp, app = tables
     r = basis.r
     f0n, f1n, f2n, f3n = f0[n], f1[n], f2[n], f3[n]
     a_y, a_t, a_p = ya[:, col], yt[:, col], yps[:, col]
@@ -399,10 +399,10 @@ def _mode_pack(basis, n, col, shear):
     return s_val, grad, hess
 
 
-def _mode_rhess(basis, n, col):
+def _mode_rhess(basis, tables, n, col):
     """r d/dr of the spherical Hessian components (shear wavenumber)."""
     f0, f1, f2, f3 = basis.rad_s
-    ya, yt, yps, ytt, atp, app = basis._derivative_tables()
+    ya, yt, yps, ytt, atp, app = tables
     r = basis.r
     f0n, f1n, f2n, f3n = f0[n], f1[n], f2[n], f3[n]
     c_rt = f2n - 2 * f1n / r + 2 * f0n / r**2
@@ -447,15 +447,16 @@ def basis_matrix_per_mode(basis):
     m = basis.nmodes
     ks = basis.kappa_s
     radial = np.stack([basis.r, np.zeros_like(basis.r), np.zeros_like(basis.r)], axis=0)
+    tables = tuple(basis._derivative_tables())  # the six angular tables, expanded once per basis
     for n in range(basis.nmax + 1):
         nn1 = n * (n + 1)
         for mm in range(-n, n + 1):
             col = sf.flatten_index(n, mm) - 1
-            s_p, g_p, _ = _mode_pack(basis, n, col, shear=False)
+            s_p, g_p, _ = _mode_pack(basis, tables, n, col, shear=False)
             out[:, :, col] = _to_cartesian(basis, g_p)
             if n == 0:
                 continue
-            s_s, g_s, h_s = _mode_pack(basis, n, col, shear=True)
+            s_s, g_s, h_s = _mode_pack(basis, tables, n, col, shear=True)
             e_m = np.stack([np.zeros_like(s_s), basis.r * g_s[2], -basis.r * g_s[1]], axis=0)
             out[:, :, 2 * m - 1 + col - 1] = (ks**2 * basis.ref_radius / nn1) * _to_cartesian(basis, e_m)
             e_n = 2.0 * g_s + ks**2 * s_s * radial + _matvec(h_s, radial)
@@ -479,19 +480,20 @@ def basis_deriv_along_per_mode(basis, directions):
         axis=0,
     )
     radial = np.stack([basis.r, np.zeros_like(basis.r), np.zeros_like(basis.r)], axis=0)
+    tables = tuple(basis._derivative_tables())  # the six angular tables, expanded once per basis
     for n in range(basis.nmax + 1):
         nn1 = n * (n + 1)
         for mm in range(-n, n + 1):
             col = sf.flatten_index(n, mm) - 1
-            s_p, g_p, h_p = _mode_pack(basis, n, col, shear=False)
+            s_p, g_p, h_p = _mode_pack(basis, tables, n, col, shear=False)
             out[:, :, col] = _to_cartesian(basis, _matvec(h_p, nu_s))
             if n == 0:
                 continue
-            s_s, g_s, h_s = _mode_pack(basis, n, col, shear=True)
+            s_s, g_s, h_s = _mode_pack(basis, tables, n, col, shear=True)
             hnu = _matvec(h_s, nu_s)
             jm = _cross(hnu, radial) + _cross(g_s, nu_s)
             out[:, :, 2 * m - 1 + col - 1] = (ks**2 * basis.ref_radius / nn1) * _to_cartesian(basis, jm)
-            rh = _mode_rhess(basis, n, col)
+            rh = _mode_rhess(basis, tables, n, col)
             gdotnu = g_s[0] * nu_s[0] + g_s[1] * nu_s[1] + g_s[2] * nu_s[2]
             jn = 3.0 * hnu + ks**2 * (gdotnu * radial + s_s * nu_s) + _matvec(rh, nu_s)
             out[:, :, m + col - 1] = _to_cartesian(basis, jn) / math.sqrt(nn1)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import click
@@ -122,6 +123,8 @@ def test_directions_reject_zero_vectors(tmp_path):
         ("--data", ["invert", "--data", "NEGATIVE_DELTA"]),
         ("--data", ["invert", "--data", "NAN_DELTA"]),
         ("--data", ["invert", "--data", "INFINITE_DELTA"]),
+        ("--data", ["invert", "--data", "SHORT_DIRECTION"]),
+        ("--data", ["invert", "--data", "LONG_DIRECTION"]),
         ("--surface", ["synth", "--surface", "NEGATIVE_ORDER_SURFACE"]),
         ("--surface", ["synth", "--surface", "FRACTIONAL_ORDER_SURFACE"]),
     ],
@@ -161,6 +164,8 @@ def test_bad_inputs_are_usage_errors(runner, tmp_path, measurement_file, args):
         "NEGATIVE_DELTA": {**record, "delta": -0.05},
         "NAN_DELTA": {**record, "delta": math.nan},
         "INFINITE_DELTA": {**record, "delta": math.inf},
+        "SHORT_DIRECTION": {**record, "incident": {**record["incident"], "direction": [0, 1]}},
+        "LONG_DIRECTION": {**record, "incident": {**record["incident"], "direction": [0, 1, 0, 0]}},
     }
     for name, rec in nan_records.items():
         files[name] = tmp_path / f"{name.lower()}.json"
@@ -212,6 +217,52 @@ def test_synth_cube_faces_matches_per_direction_solves(runner, tmp_path):
             name = f"data_w{iw}_d{jd}.json"
             fw.add_noise(ms, 0.05, 7 + 1000 * iw + jd).save(tmp_path / name)
             assert (tmp_path / name).read_bytes() == (tmp_path / "synth" / name).read_bytes()
+
+
+def test_synth_lanes_write_the_files_of_one_loop(runner, tmp_path, monkeypatch):
+    # odd frequencies on a second thread write the same bytes and lines as
+    # all of them in turn on one
+    args = ["synth", "--surface", "ellipsoid:0.6,0.75,0.9", "--freqs", "1:3:1", "--n-trunc", "10", "--kpoints", "20"]
+    solve = fw.solve_rigid_scattering
+    threads = {}
+
+    def recording_solve(sp, wave, med, *rest):
+        threads[med.omega] = threading.current_thread()
+        return solve(sp, wave, med, *rest)
+
+    monkeypatch.setattr(fw, "solve_rigid_scattering", recording_solve)
+    printed, lanes = {}, {}
+    for on in (True, False):
+        monkeypatch.setattr(fw, "_use_worker", lambda work, on=on: on)
+        threads.clear()
+        before = threading.active_count()
+        out = tmp_path / str(on)
+        res = runner.invoke(main, [*args, "--out", str(out)], catch_exceptions=False)
+        assert res.exit_code == 0
+        assert threading.active_count() == before
+        printed[on], lanes[on] = res.output.replace(str(out), "OUT"), dict(threads)
+    assert lanes[True][1.0] is lanes[True][3.0] is threading.current_thread() is not lanes[True][2.0]
+    assert set(lanes[False].values()) == {threading.current_thread()}
+    assert printed[True] == printed[False]
+    names = sorted(p.name for p in (tmp_path / "True").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "False").iterdir()) and len(names) == 4
+    for name in names:
+        assert (tmp_path / "True" / name).read_bytes() == (tmp_path / "False" / name).read_bytes()
+
+
+@pytest.mark.parametrize("freqs", ["1,3,5", "3,5,1"])
+def test_synth_lanes_report_the_first_failing_frequency(runner, tmp_path, monkeypatch, freqs):
+    # at n_trunc 6 omega 3 and omega 5 both fail: the usage error is omega
+    # 3's, the first in frequency order, whichever lane solved each
+    args = ["synth", "--surface", "ellipsoid:0.6,0.75,0.9", "--n-trunc", "6", "--kpoints", "10", "--noise", "0"]
+    alone = runner.invoke(main, [*args, "--freqs", "3", "--out", str(tmp_path / "alone")])
+    assert alone.exit_code == 2 and "boundary residual" in alone.output
+    for on in (True, False):
+        monkeypatch.setattr(fw, "_use_worker", lambda work, on=on: on)
+        out = tmp_path / str(on)
+        res = runner.invoke(main, [*args, "--freqs", freqs, "--out", str(out)])
+        assert (res.exit_code, res.output) == (alone.exit_code, alone.output)
+        assert not out.exists()
 
 
 def test_synth_writes_parseable_deterministic_files(runner, tmp_path):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -56,6 +57,18 @@ def test_incident_rejects_nan_vectors():
         fw.IncidentWave("p", (nan, nan, nan))
     with pytest.raises(ValueError):
         fw.IncidentWave("s", (0.0, 1.0, 0.0), (nan, 0.0, 0.0))
+
+
+def test_incident_vectors_must_be_3_vectors():
+    # a 2- or 4-vector of unit norm used to pass and fail later in a matmul
+    for bad in ((1.0, 0.0), (0.0, 1.0, 0.0, 0.0), ((0.0, 1.0, 0.0),), 1.0):
+        with pytest.raises(ValueError, match="3-vector"):
+            fw.IncidentWave("p", bad)
+        with pytest.raises(ValueError, match="3-vector"):
+            fw.IncidentWave("s", (0.0, 1.0, 0.0), bad)
+    for record in ({"kind": "p", "direction": [0, 1]}, {"kind": "s", "direction": [0, 1, 0], "polarization": [1, 0]}):
+        with pytest.raises(ValueError, match="3-vector"):
+            fw.IncidentWave.from_json_dict(record)
 
 
 def test_incident_phase_and_modulus(pwave, med_std, rng):
@@ -344,6 +357,181 @@ def test_blocked_cholesky_rejects_indefinite_matrix(rng, monkeypatch):
     ref = np.linalg.inv(np.linalg.qr(x, mode="r"))  # x is equilibrated now, as _factor saw it
     assert np.linalg.norm(right - ref) <= 1e-13 * np.linalg.norm(ref)
     assert condition == pytest.approx(math.sqrt(n) * np.linalg.norm(ref), rel=1e-12)
+
+
+def _force_worker(monkeypatch, on: bool):
+    monkeypatch.setattr(fw, "_use_worker", lambda work: on)
+
+
+def test_worker_only_on_an_idle_second_core(monkeypatch):
+    monkeypatch.setattr(fw, "_blas_threads", lambda: 1)
+    monkeypatch.setattr(fw.os, "sched_getaffinity", lambda pid: {0, 1})
+    assert fw._use_worker(fw._PAIR_FLOOR)
+    assert not fw._use_worker(0.5 * fw._PAIR_FLOOR)
+    monkeypatch.setattr(fw.os, "sched_getaffinity", lambda pid: {1})
+    assert not fw._use_worker(math.inf)
+    monkeypatch.setattr(fw.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(fw, "_blas_threads", lambda: 2)
+    assert not fw._use_worker(math.inf)
+    monkeypatch.setattr(fw, "_blas_threads", None)  # a BLAS library that does not say
+    assert not fw._use_worker(math.inf)
+
+
+@pytest.mark.parametrize("shape", [(700, 201), (1000, 290)])
+def test_gram_panels_give_the_same_bits_on_one_thread_or_two(rng, monkeypatch, shape):
+    m, n = shape
+    assert m * n * n >= fw._PAIR_FLOOR
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    herk = fw._zherk
+    threads = set()
+
+    def recording_herk(*args):
+        threads.add(threading.current_thread())
+        return herk(*args)
+
+    monkeypatch.setattr(fw, "_zherk", recording_herk)
+    grams = {}
+    for on in (True, False):
+        _force_worker(monkeypatch, on)
+        before = threading.active_count()
+        threads.clear()
+        grams[on] = fw._gram(a)
+        assert len(threads) == (2 if on else 1)
+        assert threading.active_count() == before  # the worker has been joined
+    assert np.array_equal(grams[True], grams[False])
+    ref = a.conj().T @ a
+    assert np.all(np.triu(grams[True], 1) == 0)
+    assert np.linalg.norm(np.tril(grams[True] - ref)) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_pair_raises_the_workers_error_once_joined(monkeypatch):
+    _force_worker(monkeypatch, True)
+    ran = {}
+
+    def first(error):
+        ran["first"] = threading.current_thread()
+        raise error
+
+    def second(error=None):
+        ran["second"] = threading.current_thread()
+        if error is not None:
+            raise error
+        return 2
+
+    with pytest.raises(KeyError, match="on the worker"):
+        fw._pair(lambda: first(KeyError("on the worker")), second)
+    assert ran["second"] is threading.current_thread()
+    assert ran["first"] is not ran["second"] and not ran["first"].is_alive()
+    # both fail: the first's error, as when the two run in turn
+    with pytest.raises(KeyError, match="first"):
+        fw._pair(lambda: first(KeyError("first")), lambda: second(ValueError("second")))
+    # the pair's lock was released: the next pair runs on two threads again
+    assert fw._pair(threading.current_thread, threading.current_thread)[0] is not threading.current_thread()
+
+
+def test_concurrent_grams_keep_their_bits(rng, monkeypatch):
+    # more callers than cores contend for the pair's lock with a short
+    # switch interval: each Gram matrix keeps its serial bits, and the lock
+    # and every thread are released once the callers return
+    mats = [rng.standard_normal((60, 21)) + 1j * rng.standard_normal((60, 21)) for _ in range(4)]
+    _force_worker(monkeypatch, False)
+    refs = [fw._gram(a) for a in mats]
+    _force_worker(monkeypatch, True)
+    mismatches = []
+
+    def caller(i):
+        for _ in range(25):
+            if not np.array_equal(fw._gram(mats[i]), refs[i]):
+                mismatches.append(i)
+
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller, args=(i,)) for i in range(len(mats))]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert mismatches == [] and not fw._PAIR_LOCK.locked()
+    assert threading.active_count() == before
+
+
+def _run_python(code: str, timeout: float = 120) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this checkout's
+    elastoscat, with a timeout, so that a deadlock fails the test."""
+    env = dict(os.environ, PYTHONPATH=str(Path(fw.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=timeout)
+
+
+def test_nested_pair_runs_inline_until_a_core_is_free():
+    # while both calls of a pair run, a pair nested in either runs inline
+    # (the barrier keeps both running until both nested pairs returned);
+    # once one call has ended, a pair nested in the other takes a thread
+    code = """if True:
+        import threading, time
+        from elastoscat import forward as fw
+
+        fw._use_worker = lambda work: True
+        me = threading.current_thread
+        both = threading.Barrier(2, timeout=30)
+
+        def busy():
+            both.wait()
+            nested = fw._pair(me, me)
+            both.wait()
+            return me(), *nested
+
+        inner, outer = fw._pair(busy, busy)
+        assert inner[0] is not threading.main_thread() and inner[1:] == (inner[0], inner[0])
+        assert outer == (threading.main_thread(),) * 3
+
+        def after_second():
+            deadline = time.monotonic() + 30
+            while fw._PAIR_LOCK.locked() and time.monotonic() < deadline:
+                time.sleep(0.001)
+            return me(), *fw._pair(me, me)
+
+        inner, outer = fw._pair(after_second, me)
+        assert inner[1] is not inner[0] and inner[2] is inner[0] and outer is threading.main_thread()
+        assert threading.active_count() == 1 and not fw._PAIR_LOCK.locked()
+        print("ok")
+    """
+    res = _run_python(code)
+    assert res.returncode == 0 and res.stdout == "ok\n", res.stderr
+
+
+def test_no_thread_outlives_a_solve_and_a_fork_child_solves(tmp_path):
+    # after solves whose Gram matrices and synth lanes used a second thread,
+    # only the main thread is left, and a forked child runs synth to exit 0
+    code = f"""if True:
+        import os, threading
+        from elastoscat import cli, forward as fw, geometry as geo, modal
+
+        fw._use_worker = lambda work: True
+        wave = fw.IncidentWave("p", (0.0, 1.0, 0.0))
+        opts = fw.SolverOptions(n_trunc=8, residual_tol=1.0)
+        fw.solve_rigid_scattering(geo.ellipsoid_coeffs(0.6, 0.75, 0.9, 1), wave, modal.Medium(2.0, 1.0, 2.0), 1.0, opts)
+        args = ["synth", "--surface", "sphere:0.5", "--freqs", "1,2", "--n-trunc", "6", "--kpoints", "5"]
+        cli.main([*args, "--out", {str(tmp_path / "parent")!r}], standalone_mode=False)
+        assert threading.active_count() == 1, threading.enumerate()
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                cli.main([*args, "--out", {str(tmp_path / "child")!r}], standalone_mode=False)
+                status = 0
+            finally:
+                os._exit(status)
+        print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    """
+    res = _run_python(code)
+    assert res.returncode == 0 and res.stdout.splitlines()[-1] == "0", res.stderr
+    for name in ("data_w0_d0.json", "data_w1_d0.json"):
+        assert (tmp_path / "child" / name).read_bytes() == (tmp_path / "parent" / name).read_bytes()
 
 
 def test_lapack_integer_width():
