@@ -192,13 +192,10 @@ def synth(surface, medium, radius, freqs, noise, seed, directions, kpoints, wave
     out = Path(outdir)
     points = forward.fibonacci_sphere(kpoints, radius)
     opts = forward.SolverOptions(n_trunc=n_trunc, residual_tol=2e-2)
-
-    def frequency(iw: int) -> list:
-        """(file name, measurements, report) of every direction at frequency ``iw``."""
-        omega = omegas[iw]
+    results = []  # (file name, measurements, report) of every solve, written once all have passed
+    for iw, omega in enumerate(omegas):
         med = modal.Medium(lam, mu, omega)
         sol = None  # every direction shares this frequency's boundary system
-        done = []
         for jd, d in enumerate(dirs):
             if wave_kind == "p":
                 wave = forward.IncidentWave("p", d)
@@ -216,29 +213,7 @@ def synth(surface, medium, radius, freqs, noise, seed, directions, kpoints, wave
             if noise > 0:
                 ms = forward.add_noise(ms, noise, seed + 1000 * iw + jd)
             report = f"omega={omega} dir={jd} n_trunc={sol.order} boundary residual={sol.residual_rel:.3e}"
-            done.append((f"data_w{iw}_d{jd}.json", ms, report))
-        return done
-
-    def lane(start: int) -> tuple[list, Exception | None]:
-        """Frequencies start, start + 2, ... in turn, up to the first that
-        fails: their results, and that failure or None."""
-        done = []
-        try:
-            for iw in range(start, len(omegas), 2):
-                done.append(frequency(iw))
-        except Exception as exc:  # raised below in frequency order, as one loop over them would
-            return done, exc
-        return done, None
-
-    # odd frequencies on a second thread when a core is idle, even ones here;
-    # a single frequency leaves that core to its own Gram matrix
-    odd, even = forward._pair(lambda: lane(1), lambda: lane(0)) if len(omegas) > 1 else (([], None), lane(0))
-    results = []  # (file name, measurements, report) of every solve, written once all have passed
-    for iw in range(len(omegas)):
-        done, error = (even, odd)[iw % 2]
-        if iw // 2 == len(done):  # the lane stopped at this frequency
-            raise error
-        results += done[iw // 2]
+            results.append((f"data_w{iw}_d{jd}.json", ms, report))
     out.mkdir(parents=True, exist_ok=True)
     for name, ms, report in results:
         ms.save(out / name)

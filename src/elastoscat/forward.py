@@ -16,12 +16,12 @@ upper-triangular Cholesky factor of the Gram matrix A^H A, so no Q is
 formed.  BLAS and LAPACK write the Gram matrix (zherk and zgemm, as two
 column panels of equal work), its Cholesky factor (zpotrf) and R^-1
 (ztrtri) in turn into one n x n buffer, each over the one before, with no
-temporary.  The two Gram panels run at once when a second core would
-otherwise idle (:func:`_pair`, which ``cli.synth`` also uses for its
-frequencies); the partition depends on the shape alone, so the bits do
-not depend on whether they do.  The basis keeps its angular part as real
-Legendre factors and azimuthal phases, not as complex tables of a third of
-A's bytes, so a solve holds A plus one n x n matrix.
+temporary.  The two Gram panels run at once, on a thread that ``_gram``
+starts and joins, when a second core would otherwise idle; the partition
+depends on the shape alone, so the bits do not depend on whether they
+do.  The basis keeps its angular part as real Legendre factors and
+azimuthal phases, not as complex tables of a third of A's bytes, so a
+solve holds A plus one n x n matrix.
 Right-hand sides are solved by corrected semi-normal equations
 (CSNE: y = R^-1 R^-H A^H b) followed by exactly one refinement
 step with the residual b - A y, which brings the accuracy back to that of
@@ -127,15 +127,15 @@ _zherk, _zgemm, _zpotrf, _ztrtri, _blas_threads, _LAPACK_INT = _bind_lapack()
 # times at 600 x 200 and 700 x 200 (2.4e7, 2.8e7) and 0.68 times at
 # 852 x 298 (7.6e7).
 _PAIR_FLOOR = 2e7
-_PAIR_LOCK = threading.Lock()  # held while both calls of a pair run, each on its own thread
 
 
 def _use_worker(work: float) -> bool:
-    """Whether :func:`_pair` may put ``work`` multiply-adds' worth of its
-    first piece on a second thread: only on an idle second core.  That is,
-    at or above ``_PAIR_FLOOR``, with at least two CPUs in the process's
-    affinity mask, and with numpy's OpenBLAS on one thread (with more, its
-    own threads use the cores, and splitting on top of them was slower)."""
+    """Whether :func:`_gram` may put its first panel of a Gram matrix of
+    ``work`` multiply-adds on a second thread: only on an idle second core.
+    That is, at or above ``_PAIR_FLOOR``, with at least two CPUs in the
+    process's affinity mask, and with numpy's OpenBLAS on one thread (with
+    more, its own threads use the cores, and splitting on top of them was
+    slower)."""
     return (
         work >= _PAIR_FLOOR
         and _blas_threads is not None
@@ -143,56 +143,6 @@ def _use_worker(work: float) -> bool:
         and hasattr(os, "sched_getaffinity")
         and len(os.sched_getaffinity(0)) > 1
     )
-
-
-def _pair(first, second, work: float = math.inf) -> tuple:
-    """``(first(), second())`` of two independent calls, the first on a new
-    thread while the second runs on the caller.
-
-    Both run on the caller, one after the other, unless
-    :func:`_use_worker` allows ``work`` (multiply-adds; the default counts
-    as large) a thread, and also while both calls of another pair are
-    running on two threads, so that a pair nested inside one runs inline
-    and takes no third core.  Once one of them ends, a pair nested in the
-    other may take the core it left.  The thread is started per call and
-    joined before this returns, so no thread outlives a call (nor crosses
-    an ``os.fork``).
-    An error of either call is raised once both have finished, the
-    first's before the second's, as when they run in turn.  The callers
-    split their work so that neither piece depends on where the other
-    runs.  The name is private so that perfbench's tracer, which wraps
-    the public functions of this module, does not time a Gram matrix as a
-    span of its own.
-    """
-    if not (_use_worker(work) and _PAIR_LOCK.acquire(blocking=False)):
-        return first(), second()
-    results, errors = [None, None], [None, None]
-    released = threading.Lock()
-
-    def release() -> None:
-        """Release the pair's lock once, when the first of its calls ends."""
-        if released.acquire(blocking=False):
-            _PAIR_LOCK.release()
-
-    def run(i, fn):
-        try:
-            results[i] = fn()
-        except BaseException as exc:  # raised below, once both calls have finished
-            errors[i] = exc
-        finally:
-            release()
-
-    try:
-        worker = threading.Thread(target=run, args=(0, first), name="elastoscat-pair")
-        worker.start()
-        run(1, second)
-        worker.join()
-    finally:
-        release()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return results[0], results[1]
 
 
 @dataclass(frozen=True)
@@ -418,9 +368,12 @@ def _gram(a: np.ndarray) -> np.ndarray:
     disjoint parts of the one n x n array: zherk (uplo U, trans N) on rows
     [0, h) of X, then zgemm for the block of rows [0, h) and columns
     [h, q); and zherk on rows [h, n), then zgemm for rows [0, h) and
-    columns [q, n).  :func:`_pair` runs the two at once when a second core
-    is idle.  The partition depends on the shape alone, so the result is
-    the same bits whether they run at once or in turn.
+    columns [q, n).  Where :func:`_use_worker` allows, the first panel runs
+    on a thread started for the call while the caller runs the second, and
+    the thread is joined before this returns (so none outlives a call or
+    crosses an ``os.fork``); an error of the first panel is raised here
+    once it is joined.  The partition depends on the shape alone, so the
+    result is the same bits whether the panels run at once or in turn.
     """
     m, n = a.shape
     h = n // 2
@@ -439,7 +392,27 @@ def _gram(a: np.ndarray) -> np.ndarray:
         cols, block = _LAPACK_INT(stop - start), c + size * start * n
         _zgemm(b"N", b"C", _LAPACK_INT(h), cols, depth, one_c, x, ld, x + size * start, ld, zero_c, block, ld, 1, 1)
 
-    _pair(lambda: panel(0, h, h, q), lambda: panel(h, n, q, n), float(m) * n * n)
+    if not _use_worker(float(m) * n * n):
+        panel(0, h, h, q)
+        panel(h, n, q, n)
+        return g
+    errors = []
+
+    def first() -> None:
+        """The first panel, on the worker; its error is kept for the caller."""
+        try:
+            panel(0, h, h, q)
+        except BaseException as exc:  # a lost error would leave a zero block in g
+            errors.append(exc)
+
+    worker = threading.Thread(target=first, name="elastoscat-gram")
+    worker.start()
+    try:
+        panel(h, n, q, n)
+    finally:
+        worker.join()
+    if errors:
+        raise errors[0]
     return g
 
 
@@ -476,8 +449,8 @@ def _factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     with at least as many rows as columns, which is equilibrated in place.
 
     The Gram matrix A^H A of ``a`` fills one n x n buffer, formed by
-    :func:`_gram` as two panels, at once on two threads where a second
-    core is idle, with the same bits either way.  Its diagonal
+    :func:`_gram` as two panels, on a second thread of its own where a
+    second core is idle, with the same bits either way.  Its diagonal
     gives the column norms, whose inverses are ``colscale`` (0 for a zero
     column), and ``a`` and the Gram matrix are scaled to unit-norm columns.
     zpotrf writes the lower Cholesky factor L over the buffer, G = L L^H,

@@ -18,6 +18,7 @@ Clean data or a fixed truncation give a one-rung ladder.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,7 +52,8 @@ class FrequencySchedule:
     max(1, floor(omega_i)), never below the first-order encoding of the
     initial sphere, and steps with ``tau(i)`` = tau_coefficient / order(i).
     Frequencies must be positive, finite and strictly increasing, the step
-    coefficient positive and finite, and the iteration count nonnegative.
+    coefficient positive and finite, and the iteration count a nonnegative
+    integer.
     """
 
     omegas: tuple[float, ...]
@@ -67,8 +69,13 @@ class FrequencySchedule:
             raise ValueError("frequencies must be strictly increasing")
         if not 0 < self.tau_coefficient < math.inf:  # a NaN fails too
             raise ValueError(f"step coefficient must be positive and finite, got {self.tau_coefficient}")
-        if not self.iterations >= 0:
-            raise ValueError(f"iterations per stage must be nonnegative, got {self.iterations}")
+        try:
+            iterations = operator.index(self.iterations)
+        except TypeError:
+            raise ValueError(f"iterations per stage must be an integer, got {self.iterations!r}") from None
+        if iterations < 0:
+            raise ValueError(f"iterations per stage must be nonnegative, got {iterations}")
+        object.__setattr__(self, "iterations", iterations)
 
     @property
     def stages(self) -> int:

@@ -220,29 +220,18 @@ def test_synth_cube_faces_matches_per_direction_solves(runner, tmp_path):
 
 
 def test_synth_lanes_write_the_files_of_one_loop(runner, tmp_path, monkeypatch):
-    # odd frequencies on a second thread write the same bytes and lines as
-    # all of them in turn on one
+    # Gram panels on a second thread write the same bytes and lines as both
+    # in turn on one
     args = ["synth", "--surface", "ellipsoid:0.6,0.75,0.9", "--freqs", "1:3:1", "--n-trunc", "10", "--kpoints", "20"]
-    solve = fw.solve_rigid_scattering
-    threads = {}
-
-    def recording_solve(sp, wave, med, *rest):
-        threads[med.omega] = threading.current_thread()
-        return solve(sp, wave, med, *rest)
-
-    monkeypatch.setattr(fw, "solve_rigid_scattering", recording_solve)
-    printed, lanes = {}, {}
+    printed = {}
     for on in (True, False):
         monkeypatch.setattr(fw, "_use_worker", lambda work, on=on: on)
-        threads.clear()
         before = threading.active_count()
         out = tmp_path / str(on)
         res = runner.invoke(main, [*args, "--out", str(out)], catch_exceptions=False)
         assert res.exit_code == 0
         assert threading.active_count() == before
-        printed[on], lanes[on] = res.output.replace(str(out), "OUT"), dict(threads)
-    assert lanes[True][1.0] is lanes[True][3.0] is threading.current_thread() is not lanes[True][2.0]
-    assert set(lanes[False].values()) == {threading.current_thread()}
+        printed[on] = res.output.replace(str(out), "OUT")
     assert printed[True] == printed[False]
     names = sorted(p.name for p in (tmp_path / "True").iterdir())
     assert names == sorted(p.name for p in (tmp_path / "False").iterdir()) and len(names) == 4
@@ -253,7 +242,7 @@ def test_synth_lanes_write_the_files_of_one_loop(runner, tmp_path, monkeypatch):
 @pytest.mark.parametrize("freqs", ["1,3,5", "3,5,1"])
 def test_synth_lanes_report_the_first_failing_frequency(runner, tmp_path, monkeypatch, freqs):
     # at n_trunc 6 omega 3 and omega 5 both fail: the usage error is omega
-    # 3's, the first in frequency order, whichever lane solved each
+    # 3's, the first in frequency order, with the worker on or off
     args = ["synth", "--surface", "ellipsoid:0.6,0.75,0.9", "--n-trunc", "6", "--kpoints", "10", "--noise", "0"]
     alone = runner.invoke(main, [*args, "--freqs", "3", "--out", str(tmp_path / "alone")])
     assert alone.exit_code == 2 and "boundary residual" in alone.output
@@ -263,6 +252,37 @@ def test_synth_lanes_report_the_first_failing_frequency(runner, tmp_path, monkey
         res = runner.invoke(main, [*args, "--freqs", freqs, "--out", str(out)])
         assert (res.exit_code, res.output) == (alone.exit_code, alone.output)
         assert not out.exists()
+
+
+def test_synth_solves_in_frequency_order_and_stops_at_the_first_failure(runner, tmp_path, monkeypatch):
+    # omega 3 fails at n_trunc 6, so omega 5 is never solved
+    args = ["synth", "--surface", "ellipsoid:0.6,0.75,0.9", "--freqs", "1,3,5", "--n-trunc", "6", "--noise", "0"]
+    solve = fw.solve_rigid_scattering
+    solved = []
+
+    def recording_solve(sp, wave, med, *rest):
+        solved.append(med.omega)
+        return solve(sp, wave, med, *rest)
+
+    monkeypatch.setattr(fw, "solve_rigid_scattering", recording_solve)
+    for on in (True, False):
+        monkeypatch.setattr(fw, "_use_worker", lambda work, on=on: on)
+        solved.clear()
+        res = runner.invoke(main, [*args, "--kpoints", "10", "--out", str(tmp_path / str(on))])
+        assert res.exit_code == 2 and "boundary residual" in res.output
+        assert solved == [1.0, 3.0]
+
+
+def test_synth_builds_each_frequencys_measurement_matrix_once(runner, tmp_path, monkeypatch):
+    # 2 frequencies x 6 directions: 12 measurements, 2 matrices
+    monkeypatch.setattr(fw, "_use_worker", lambda work: True)
+    fw._measurement_matrix.cache_clear()
+    args = ["synth", "--surface", "ellipsoid:0.6,0.75,0.9", "--freqs", "1,2", "--directions", "preset:cube-faces"]
+    args += ["--n-trunc", "10", "--kpoints", "20", "--out", str(tmp_path)]
+    res = runner.invoke(main, args, catch_exceptions=False)
+    assert res.exit_code == 0 and len(list(tmp_path.glob("data_w*_d*.json"))) == 12
+    info = fw._measurement_matrix.cache_info()
+    assert (info.misses, info.hits) == (2, 10)
 
 
 def test_synth_writes_parseable_deterministic_files(runner, tmp_path):

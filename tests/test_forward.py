@@ -404,35 +404,33 @@ def test_gram_panels_give_the_same_bits_on_one_thread_or_two(rng, monkeypatch, s
     assert np.linalg.norm(np.tril(grams[True] - ref)) <= 1e-13 * np.linalg.norm(ref)
 
 
-def test_pair_raises_the_workers_error_once_joined(monkeypatch):
+def test_pair_raises_the_workers_error_once_joined(rng, monkeypatch):
+    # the first panel fails on the worker: _gram raises its error once the
+    # worker is joined, rather than return a Gram matrix with a zero block
     _force_worker(monkeypatch, True)
-    ran = {}
+    herk = fw._zherk
+    ran = []
 
-    def first(error):
-        ran["first"] = threading.current_thread()
-        raise error
+    def worker_failing_herk(*args):
+        ran.append(threading.current_thread())
+        if threading.current_thread() is not threading.main_thread():
+            raise KeyError("on the worker")
+        return herk(*args)
 
-    def second(error=None):
-        ran["second"] = threading.current_thread()
-        if error is not None:
-            raise error
-        return 2
-
+    monkeypatch.setattr(fw, "_zherk", worker_failing_herk)
+    a = rng.standard_normal((60, 21)) + 1j * rng.standard_normal((60, 21))
+    before = threading.active_count()
     with pytest.raises(KeyError, match="on the worker"):
-        fw._pair(lambda: first(KeyError("on the worker")), second)
-    assert ran["second"] is threading.current_thread()
-    assert ran["first"] is not ran["second"] and not ran["first"].is_alive()
-    # both fail: the first's error, as when the two run in turn
-    with pytest.raises(KeyError, match="first"):
-        fw._pair(lambda: first(KeyError("first")), lambda: second(ValueError("second")))
-    # the pair's lock was released: the next pair runs on two threads again
-    assert fw._pair(threading.current_thread, threading.current_thread)[0] is not threading.current_thread()
+        fw._gram(a)
+    assert threading.active_count() == before
+    workers = [t for t in ran if t is not threading.main_thread()]
+    assert len(ran) == 2 and len(workers) == 1 and not workers[0].is_alive()
 
 
 def test_concurrent_grams_keep_their_bits(rng, monkeypatch):
-    # more callers than cores contend for the pair's lock with a short
-    # switch interval: each Gram matrix keeps its serial bits, and the lock
-    # and every thread are released once the callers return
+    # more callers than cores, each with its own worker, and a short switch
+    # interval: each Gram matrix keeps its serial bits, and every thread is
+    # gone once the callers return
     mats = [rng.standard_normal((60, 21)) + 1j * rng.standard_normal((60, 21)) for _ in range(4)]
     _force_worker(monkeypatch, False)
     refs = [fw._gram(a) for a in mats]
@@ -456,7 +454,7 @@ def test_concurrent_grams_keep_their_bits(rng, monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in callers)
-    assert mismatches == [] and not fw._PAIR_LOCK.locked()
+    assert mismatches == []
     assert threading.active_count() == before
 
 
@@ -467,45 +465,8 @@ def _run_python(code: str, timeout: float = 120) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=timeout)
 
 
-def test_nested_pair_runs_inline_until_a_core_is_free():
-    # while both calls of a pair run, a pair nested in either runs inline
-    # (the barrier keeps both running until both nested pairs returned);
-    # once one call has ended, a pair nested in the other takes a thread
-    code = """if True:
-        import threading, time
-        from elastoscat import forward as fw
-
-        fw._use_worker = lambda work: True
-        me = threading.current_thread
-        both = threading.Barrier(2, timeout=30)
-
-        def busy():
-            both.wait()
-            nested = fw._pair(me, me)
-            both.wait()
-            return me(), *nested
-
-        inner, outer = fw._pair(busy, busy)
-        assert inner[0] is not threading.main_thread() and inner[1:] == (inner[0], inner[0])
-        assert outer == (threading.main_thread(),) * 3
-
-        def after_second():
-            deadline = time.monotonic() + 30
-            while fw._PAIR_LOCK.locked() and time.monotonic() < deadline:
-                time.sleep(0.001)
-            return me(), *fw._pair(me, me)
-
-        inner, outer = fw._pair(after_second, me)
-        assert inner[1] is not inner[0] and inner[2] is inner[0] and outer is threading.main_thread()
-        assert threading.active_count() == 1 and not fw._PAIR_LOCK.locked()
-        print("ok")
-    """
-    res = _run_python(code)
-    assert res.returncode == 0 and res.stdout == "ok\n", res.stderr
-
-
 def test_no_thread_outlives_a_solve_and_a_fork_child_solves(tmp_path):
-    # after solves whose Gram matrices and synth lanes used a second thread,
+    # after solves whose Gram matrices used a second thread,
     # only the main thread is left, and a forked child runs synth to exit 0
     code = f"""if True:
         import os, threading

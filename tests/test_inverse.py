@@ -55,8 +55,9 @@ def test_schedule_rejects_a_step_rule_that_cannot_descend():
     for bad in (np.nan, -0.005, 0.0, np.inf):
         with pytest.raises(ValueError, match="step coefficient"):
             inv.FrequencySchedule((1.0,), tau_coefficient=bad)
-    with pytest.raises(ValueError, match="iterations"):
-        inv.FrequencySchedule((1.0,), iterations=-1)
+    for bad in (-1, 2.5, "5"):
+        with pytest.raises(ValueError, match="iterations"):
+            inv.FrequencySchedule((1.0,), iterations=bad)
     assert inv.FrequencySchedule((1.0,), iterations=0).iterations == 0
 
 
