@@ -80,6 +80,11 @@ _RANK_CUTOFF = 1e-12  # smallest relative singular value of a full-rank system (
 _CHOLESKY_LIMIT = 1e-2
 
 
+# The name templates under which numpy's BLAS library may export its
+# routines, each with the integer type those routines take (see _bind_lapack).
+_BLAS_NAMES = (("scipy_{}_64_", ctypes.c_int64), ("{}_64_", ctypes.c_int64), ("{}_", ctypes.c_int32))
+
+
 def _bind_lapack() -> tuple:
     """``(zherk, zgemm, zpotrf, ztrtri, openblas_get_num_threads, integer
     type)`` from the BLAS library that ``numpy.linalg`` has already loaded.
@@ -94,7 +99,7 @@ def _bind_lapack() -> tuple:
     """
     lib = ctypes.CDLL(_umath_linalg.__file__)
     tried = []
-    for template, int_t in (("scipy_{}_64_", ctypes.c_int64), ("{}_64_", ctypes.c_int64), ("{}_", ctypes.c_int32)):
+    for template, int_t in _BLAS_NAMES:
         names = [template.format(x) for x in ("zherk", "zgemm", "zpotrf", "ztrtri")]
         tried += names
         try:

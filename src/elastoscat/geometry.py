@@ -293,50 +293,41 @@ def perturbation_q_table(sp: SurfaceParam, sample: BoundarySample) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 
-def _azimuthal_step(th, ph, dth, dph):
-    """(th, ph) after the step (dth, dph) taken as a straight line in the
-    azimuthal chart t (cos ph, sin ph) of the nearer pole, t the angle from it.
-
-    Near a pole, where a step swings ph by more than a radian, that chart is
-    regular and (th, ph) is not: the step is the same to first order, but
-    taken in (th, ph) it lands at an arbitrary ph.
-    """
-    south = th > np.pi / 2
-    t = np.where(south, np.pi - th, th)
-    dt = np.where(south, -dth, dth)
-    c, s = np.cos(ph), np.sin(ph)
-    qx = (t + dt) * c - t * dph * s
-    qy = (t + dt) * s + t * dph * c
-    t = np.hypot(qx, qy)
-    return np.where(south, np.pi - t, t), np.arctan2(qy, qx)
+_SEED_ORDER = 8  # the boundary_quadrature whose nodes start the ray cast
 
 
 def radial_function(sp: SurfaceParam, directions: np.ndarray):
     """Distance from the origin to the surface along unit directions.
 
-    Damped Gauss-Newton in parameter space on the residual
-    F = p - (p . d) d (the component of the surface point transverse to the
-    ray).  The tiny Tikhonov floor keeps the 2x2 normal equations solvable
-    where the (th, ph) chart degenerates (ray through a parametrization
-    pole, where every ph solves the problem).  A step is capped at 0.5 in
-    length on the parameter sphere, sqrt(dth^2 + sin^2 th dph^2), so ph
-    is free to turn near a pole, and a step that turns it by more than a
-    radian is taken in the pole's azimuthal chart (:func:`_azimuthal_step`).
-    Requires the surface to be star-shaped about the origin.
+    Each ray starts at the node of ``boundary_quadrature(8)`` whose surface
+    point has the largest direction cosine with the ray, so the start does
+    not depend on how the surface's chart is turned.  From there a damped
+    Gauss-Newton on the residual F = p - (p . d) d (the component of the
+    surface point transverse to the ray) moves the parameter point s on the
+    unit sphere.  Each step (u, v) solves the 2x2 normal equations against
+    dp/dth and (1/sin th) dp/dph, the derivatives along the unit tangents
+    e_th and e_ph (the second a zero column at an exact pole), with a tiny
+    Tikhonov floor; it is capped at 0.5 in length and taken as
+    s <- (s + u e_th + v e_ph) / |.|.  The cast stops when |F| is below
+    1e-11 times the largest radius of the seed nodes.  Requires the surface
+    to be star-shaped about the origin.
     """
     d = np.atleast_2d(np.asarray(directions, dtype=float))
     d = d / np.linalg.norm(d, axis=1, keepdims=True)
-    _, th, ph = specfun.cart_to_sph(d)
-    th = np.clip(th, 1e-7, np.pi - 1e-7)  # start off the chart poles; iterates may return
-    scale = None
+    quad = boundary_quadrature(_SEED_ORDER)
+    seeds, _, _ = surface_points(sp, quad.theta, quad.phi, tables=_grid_tables(sp.order, _SEED_ORDER))
+    radius = np.linalg.norm(seeds, axis=1)
+    scale = max(radius.max(), 1e-30)
+    cosines = (d @ seeds.T) / np.maximum(radius, 1e-30)  # a node at the origin has cosine 0
+    s = specfun.sph_to_cart(1.0, quad.theta, quad.phi)[np.argmax(cosines, axis=1)]
     for _ in range(80):
+        _, th, ph = specfun.cart_to_sph(s)
         pts, d_t, d_p = surface_points(sp, th, ph)
-        proj = np.sum(pts * d, axis=1)
-        f = pts - proj[:, None] * d
-        if scale is None:
-            scale = max(np.linalg.norm(pts, axis=1).max(), 1e-30)
-        if np.linalg.norm(f, axis=1).max() < 1e-11 * scale:  # relative to the surface size
+        f = pts - np.sum(pts * d, axis=1)[:, None] * d
+        if np.linalg.norm(f, axis=1).max() < 1e-11 * scale:
             break
+        sinth = np.sin(th)[:, None]
+        d_p = np.divide(d_p, sinth, out=np.zeros_like(d_p), where=sinth != 0)
         j1 = d_t - np.sum(d_t * d, axis=1)[:, None] * d
         j2 = d_p - np.sum(d_p * d, axis=1)[:, None] * d
         a11 = np.sum(j1 * j1, axis=1)
@@ -348,16 +339,13 @@ def radial_function(sp: SurfaceParam, directions: np.ndarray):
         a11 = a11 + floor
         a22 = a22 + floor
         det = a11 * a22 - a12**2
-        dth = (a22 * b1 - a12 * b2) / det
-        dph = (-a12 * b1 + a11 * b2) / det
-        step = np.sqrt(dth**2 + (np.sin(th) * dph) ** 2)  # the step's length on the parameter sphere
-        lim = np.where(step > 0.5, 0.5 / np.maximum(step, 1e-30), 1.0)
-        dth, dph = lim * dth, lim * dph
-        swing = np.abs(dph) > 1.0  # only near a chart pole
-        th_new, ph_new = th + dth, ph + dph
-        if np.any(swing):
-            th_new[swing], ph_new[swing] = _azimuthal_step(th[swing], ph[swing], dth[swing], dph[swing])
-        th, ph = th_new, ph_new
+        u = (a22 * b1 - a12 * b2) / det
+        v = (-a12 * b1 + a11 * b2) / det
+        step = np.hypot(u, v)
+        lim = np.where(step > 0.5, 0.5 / np.maximum(step, 1e-30), 1.0)[:, None]
+        _, e_t, e_p = specfun.spherical_frame(th, ph)
+        s = s + lim * (u[:, None] * e_t + v[:, None] * e_p)
+        s /= np.linalg.norm(s, axis=1, keepdims=True)
     else:
         raise GeometryError("radial ray cast did not converge")
     rho = np.sum(pts * d, axis=1)

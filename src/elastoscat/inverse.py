@@ -105,9 +105,9 @@ class InversionState:
 
 
 def initial_guess(r0: float, order: int) -> SurfaceParam:
-    """Sphere of radius r0 in the exact first-order harmonic encoding."""
-    if r0 <= 0:
-        raise ValueError("initial radius must be positive")
+    """Sphere of radius r0 in the exact first-order harmonic encoding;
+    :func:`~elastoscat.geometry.ellipsoid_coeffs` rejects a radius that is
+    not positive and finite."""
     return sphere_coeffs(r0, order)
 
 

@@ -13,15 +13,19 @@ and quadrature-expansion helpers read the production harmonic tables, and
 the radiating-field evaluators read the production wave basis; the tests
 check them by closed forms, orthonormality and the modal maps.  The
 objective gradient is checked against Re(J^H r) from the full shape
-Jacobian instead of the adjoint solve.
+Jacobian instead of the adjoint solve.  :func:`blas_threads` pins numpy's
+OpenBLAS thread count for a test whose figures depend on its rounding.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import math
 
 import mpmath as mp
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from elastoscat import derivative as dv, forward as fw, geometry as geo, specfun as sf
 from elastoscat.wavefields import WaveBasis
@@ -30,6 +34,31 @@ from elastoscat.wavefields import WaveBasis
 # ---------------------------------------------------------------------------
 # Single harmonics, vector harmonics and quadrature expansion on the table path
 # ---------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def blas_threads(count: int):
+    """Run the block with numpy's OpenBLAS on ``count`` threads, and restore
+    the old count afterwards.
+
+    The setter is OpenBLAS's Fortran-style ``openblas_set_num_threads_``
+    (the count by reference), bound under the name templates of
+    ``forward._bind_lapack``.  The block runs unpinned when the library
+    exports no setter or no thread count.
+    """
+    lib = ctypes.CDLL(_umath_linalg.__file__)
+    names = (template.format("openblas_set_num_threads") for template, _ in fw._BLAS_NAMES)
+    setter = next((getattr(lib, name) for name in names if hasattr(lib, name)), None)
+    if setter is None or fw._blas_threads is None:
+        yield
+        return
+    setter.argtypes, setter.restype = [ctypes.POINTER(ctypes.c_int)], None
+    old = fw._blas_threads()
+    setter(ctypes.c_int(count))
+    try:
+        yield
+    finally:
+        setter(ctypes.c_int(old))
 
 
 def z_log_derivative(n: int, t: float) -> complex:

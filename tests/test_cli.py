@@ -219,7 +219,7 @@ def test_synth_cube_faces_matches_per_direction_solves(runner, tmp_path):
             assert (tmp_path / name).read_bytes() == (tmp_path / "synth" / name).read_bytes()
 
 
-def test_synth_lanes_write_the_files_of_one_loop(runner, tmp_path, monkeypatch):
+def test_synth_gram_worker_writes_the_files_of_one_thread(runner, tmp_path, monkeypatch):
     # Gram panels on a second thread write the same bytes and lines as both
     # in turn on one
     args = ["synth", "--surface", "ellipsoid:0.6,0.75,0.9", "--freqs", "1:3:1", "--n-trunc", "10", "--kpoints", "20"]
@@ -240,7 +240,7 @@ def test_synth_lanes_write_the_files_of_one_loop(runner, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("freqs", ["1,3,5", "3,5,1"])
-def test_synth_lanes_report_the_first_failing_frequency(runner, tmp_path, monkeypatch, freqs):
+def test_synth_reports_the_first_failing_frequency(runner, tmp_path, monkeypatch, freqs):
     # at n_trunc 6 omega 3 and omega 5 both fail: the usage error is omega
     # 3's, the first in frequency order, with the worker on or off
     args = ["synth", "--surface", "ellipsoid:0.6,0.75,0.9", "--n-trunc", "6", "--kpoints", "10", "--noise", "0"]

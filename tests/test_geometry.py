@@ -296,7 +296,8 @@ def _rotated_parametrization(alpha, order, perturbation=0.0):
 
 
 def _ray_cast_steps(monkeypatch, sp, plane):
-    """Gauss-Newton steps of the ray cast of one cross section, counted through surface_points."""
+    """Gauss-Newton steps of the ray cast of one cross section, counted through
+    surface_points (one more than taken: the seed nodes' evaluation counts too)."""
     calls = []
     real = geo.surface_points
 
@@ -317,20 +318,23 @@ def test_ray_cast_converges_fast_near_an_off_axis_pole(monkeypatch):
     assert steps <= 10
 
 
-@pytest.mark.parametrize("plane", ["x1", "x2"])
-def test_ray_cast_with_a_turned_parametrization(monkeypatch, plane):
-    # the chart pole 1.2 rad off the z axis: the first steps of the rays along
-    # +-z turn ph by far more than a radian, and taken in (th, ph) they ended
-    # on the far side of the surface
-    sp, rot = _rotated_parametrization(1.2, 1)
-    section, steps = _ray_cast_steps(monkeypatch, sp, plane)
-    u1, u2 = geo._PLANES[plane]
-    t = section[:, 0]
-    d = np.outer(np.cos(t), u1) + np.outer(np.sin(t), u2)
-    local = d @ rot  # the directions in the ellipsoid's own axes
-    rho = 1.0 / np.sqrt(np.sum((local / np.array([0.6, 0.75, 0.9])) ** 2, axis=1))
-    np.testing.assert_allclose(section[:, 1:], rho[:, None] * np.column_stack([np.cos(t), np.sin(t)]), atol=1e-12)
-    assert steps <= 10
+@pytest.mark.parametrize("plane", ["x1", "x2", "x3"])
+def test_ray_cast_with_a_turned_parametrization(plane):
+    # the chart pole alpha rad off the z axis, up to nearly opposite it: at
+    # alpha >= pi/2 a ray's own (th, ph) maps near the far side of the
+    # surface, and the cast must not start there
+    for alpha in (1.2, math.pi / 2, 2.5, 3.0):
+        sp, rot = _rotated_parametrization(alpha, 1)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            section, steps = _ray_cast_steps(monkeypatch, sp, plane)
+        u1, u2 = geo._PLANES[plane]
+        t = section[:, 0]
+        d = np.outer(np.cos(t), u1) + np.outer(np.sin(t), u2)
+        local = d @ rot  # the directions in the ellipsoid's own axes
+        rho = 1.0 / np.sqrt(np.sum((local / np.array([0.6, 0.75, 0.9])) ** 2, axis=1))
+        expected = rho[:, None] * np.column_stack([np.cos(t), np.sin(t)])
+        np.testing.assert_allclose(section[:, 1:], expected, atol=1e-12, err_msg=f"alpha {alpha}")
+        assert steps <= 10, alpha
 
 
 def test_cross_section_unknown_plane():

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -376,6 +377,21 @@ def test_surface_error_sphere_pair():
     assert inv.surface_error(big, small) == pytest.approx(0.1, abs=1e-6)
     # swapping arguments only changes the normalization surface
     assert inv.surface_error(small, big) == pytest.approx(0.05 / 0.55, abs=1e-6)
+
+
+@pytest.mark.parametrize("alpha", [math.pi / 2, 2.5])
+def test_surface_error_ignores_a_turned_chart(alpha):
+    # the (0.6, 0.75, 0.9) ellipsoid itself, its chart turned by alpha about
+    # the y axis: block j = a_j sum_l R_jl (unit sphere block l)
+    c, s = math.cos(alpha), math.sin(alpha)
+    rot = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+    axes = (0.6, 0.75, 0.9)
+    unit = geo.sphere_coeffs(1.0, 1)
+    turned = geo.SurfaceParam(1, np.zeros(geo.coeff_length(1)))
+    for j in (1, 2, 3):
+        for imag in (False, True):
+            turned.block(j, imag)[:] = axes[j - 1] * sum(rot[j - 1, l - 1] * unit.block(l, imag) for l in (1, 2, 3))
+    assert inv.surface_error(turned, geo.ellipsoid_coeffs(*axes, 1)) <= 1e-12
 
 
 def test_surface_error_requires_star_shaped():
